@@ -33,10 +33,27 @@ FULL = dict(num_sessions=100, duration_s=8.0, rate_hz=200.0, verify_sessions=3)
 CHAOS = dict(num_sessions=50, duration_s=3.0, rate_hz=100.0)
 
 
-def run(scale: dict, seed: int = 0, batching: bool = False):
-    from repro.serve import run_load
+def run(scale: dict, seed: int = 0, batching: bool = False, chaos: bool = False):
+    """Serve one plain synthetic fleet at ``scale`` through the fleet
+    driver; ``chaos`` adds the default fault storm (every injector over
+    ``[duration/3, 0.6 * duration)`` of stream time)."""
+    from repro.faults import FaultPlan, chaos_plan
+    from repro.scenarios import ScenarioSpec, run_scenario
 
-    return run_load(seed=seed, batching=batching, **scale)
+    fleet = dict(scale)
+    verify = fleet.pop("verify_sessions", None)
+    duration = fleet["duration_s"]
+    spec = ScenarioSpec(
+        name="bench-serve",
+        tier="T2" if chaos else "T0",
+        description="the bench_serve.py fleet",
+        seed=seed,
+        batching=batching,
+        fault_plan=chaos_plan(seed, duration / 3.0, 0.6 * duration)
+        if chaos else FaultPlan(),
+        **fleet,
+    )
+    return run_scenario(spec, verify_sessions=verify)
 
 
 def run_comparison(scale: dict, seed: int = 0) -> dict:
@@ -57,12 +74,6 @@ def run_comparison(scale: dict, seed: int = 0) -> dict:
         if batched.wall_s > 0 else float("inf"),
         "batch_efficiency": batched.batched_sessions / served if served else 0.0,
     }
-
-
-def run_chaos_scale(scale: dict, seed: int = 0):
-    from repro.serve import run_chaos
-
-    return run_chaos(seed=seed, **scale)
 
 
 def test_serve_smoke(capsys):
@@ -97,7 +108,7 @@ def test_serve_batched_smoke(capsys):
 
 def test_serve_chaos_smoke(capsys):
     """50 sessions under every injector: contained, degraded, recovered."""
-    result = run_chaos_scale(CHAOS)
+    result = run(CHAOS, chaos=True)
     with capsys.disabled():
         print()
         print("serve-bench (chaos scale)")
@@ -140,22 +151,17 @@ def main(argv=None) -> int:
             scale["duration_s"] = args.duration
         if args.rate is not None:
             scale["rate_hz"] = args.rate
-        chaos = run_chaos_scale(dict(scale, batching=args.batched), seed=args.seed)
+        chaos = run(scale, seed=args.seed, batching=args.batched, chaos=True)
         print(chaos.summary())
         print(chaos.metrics_line)
         if args.json:
             payload = {"scale": "chaos", **chaos.as_dict()}
             Path(args.json).write_text(json.dumps(payload, indent=2))
             print(f"wrote {args.json}")
-        if chaos.unhandled > 0:
-            print(f"FAIL: {chaos.unhandled} exception(s) escaped the serving layer",
-                  file=sys.stderr)
-            return 1
-        if not chaos.all_healthy:
-            print(f"FAIL: fleet did not recover: {chaos.final_health}",
-                  file=sys.stderr)
-            return 1
-        return 0
+        failures = chaos.failures()
+        for failure in failures:
+            print(f"FAIL: {failure}", file=sys.stderr)
+        return 1 if failures else 0
 
     scale = dict(SMOKE if args.smoke else FULL)
     if args.sessions is not None:
@@ -185,17 +191,17 @@ def main(argv=None) -> int:
 
             record = append_record(args.trajectory, payload)
             print(f"appended run @ {record['commit'][:12]} to {args.trajectory}")
-        ok = payload["sequential"]["bit_identical"] and payload["batched"][
-            "bit_identical"]
+        failures = payload["sequential"]["failures"] + payload["batched"]["failures"]
         drops = payload["sequential"]["drops"] + payload["batched"]["drops"]
     else:
         result = run(scale, seed=args.seed, batching=args.batched)
         print(result.summary())
         print(result.metrics_line)
-        ok = result.bit_identical
+        failures = result.failures()
         drops = result.drops
-    if not ok:
-        print("FAIL: served estimates differ from standalone replay", file=sys.stderr)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failures:
         return 1
     if drops > 0:
         print(f"FAIL: {drops} packets shed at default queue depth",

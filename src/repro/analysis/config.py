@@ -131,23 +131,16 @@ DEFAULT_ALLOWLIST = Allowlist(
             ),
         ),
         AllowlistEntry(
-            suffix="repro/serve/loadgen.py",
+            suffix="repro/scenarios/runner.py",
             rule="VH103",
             reason=(
-                "Load-generator throughput measurement: wall seconds are "
-                "the *measurand* (session-packets/s). The estimates the "
-                "bit-identity check compares are keyed by stream time."
-            ),
-        ),
-        AllowlistEntry(
-            suffix="repro/serve/openloop.py",
-            rule="VH103",
-            reason=(
-                "Open-loop load generation: the arrival schedule is "
-                "wall-clock by definition (packets land at "
-                "`start + t/speedup` whether or not the fleet keeps "
-                "up), and serve latency is the measurand. Estimate "
-                "values are pinned by the fabric bit-identity suite."
+                "The fleet driver's measurands are wall time: throughput "
+                "(session-packets/s), the paced arrival schedule "
+                "(packets land at `start + t/speedup` whether or not the "
+                "fleet keeps up) and arrival -> serve latency. Estimates "
+                "are keyed by stream time and pinned by standalone "
+                "replay; every fault decision derives from the seeded "
+                "plan, never the clock."
             ),
         ),
         AllowlistEntry(
@@ -169,16 +162,6 @@ DEFAULT_ALLOWLIST = Allowlist(
                 "Idle-eviction uses the injectable `clock` hook "
                 "(`time.monotonic` default) for wall-idle timeouts; "
                 "estimate values never read it."
-            ),
-        ),
-        AllowlistEntry(
-            suffix="repro/serve/chaos.py",
-            rule="VH103",
-            reason=(
-                "Chaos-run wall time is the measurand (how long the "
-                "fleet took to absorb and recover from the fault "
-                "storm); every fault decision itself derives from the "
-                "seeded plan, never the clock."
             ),
         ),
     ]

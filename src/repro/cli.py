@@ -339,42 +339,21 @@ def _lint_budget_ok(budget_path: Path, elapsed_s: float) -> bool:
     return True
 
 
-def _finish_chaos_result(chaos, json_path) -> int:
-    """Print a ChaosResult, optionally dump JSON, return the exit code."""
-    print(chaos.summary())
-    print(chaos.metrics_line)
-    if json_path:
-        Path(json_path).write_text(json.dumps(chaos.as_dict(), indent=2))
-        print(f"wrote {json_path}")
-    if chaos.unhandled > 0:
-        print(
-            f"FAIL: {chaos.unhandled} exception(s) escaped the serving layer",
-            file=sys.stderr,
-        )
-        return 1
-    if not chaos.all_healthy:
-        print(
-            f"FAIL: fleet did not recover after faults cleared: "
-            f"{chaos.final_health}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _finish_load_result(result, json_path) -> int:
-    """Print a LoadResult, optionally dump JSON, return the exit code."""
+def _finish_fleet_result(result, json_path, prom_path=None) -> int:
+    """Report a FleetResult, write its JSON/Prometheus exports, and
+    return the exit code of the shared pass/fail rule."""
     print(result.summary())
     print(result.metrics_line)
     if json_path:
         Path(json_path).write_text(json.dumps(result.as_dict(), indent=2))
         print(f"wrote {json_path}")
-    if not result.bit_identical:
-        print("FAIL: served estimates differ from standalone replay", file=sys.stderr)
-        return 1
+    _write_prometheus(prom_path, result.snapshot)
     if result.drops > 0:
         print(f"WARN: {result.drops} packets shed by backpressure", file=sys.stderr)
-    return 0
+    failures = result.failures()
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def _write_prometheus(path: str | None, snapshot) -> None:
@@ -387,55 +366,20 @@ def _write_prometheus(path: str | None, snapshot) -> None:
 
 
 def cmd_serve_bench(args) -> int:
-    from repro.serve import run_chaos, run_load
-
-    if args.open_loop:
-        if args.chaos or args.scenario:
-            print(
-                "--open-loop is its own driver; drop --chaos/--scenario",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.serve.openloop import SloSpec, run_open_loop
-
-        slo = SloSpec.parse(args.slo) if args.slo else None
-        result = run_open_loop(
-            num_sessions=args.sessions,
-            duration_s=args.duration,
-            rate_hz=args.rate,
-            tick_interval_s=args.tick / 1000.0,
-            speedup=args.speedup,
-            workers=args.workers,
-            slo=slo,
-            stride_s=args.stride / 1000.0,
-            budget_s=args.budget / 1000.0,
-            queue_depth=args.queue_depth,
-            seed=args.seed,
-        )
-        print(result.summary())
-        if args.json:
-            Path(args.json).write_text(json.dumps(result.as_dict(), indent=2))
-            print(f"wrote {args.json}")
-        _write_prometheus(args.prom_out, result.snapshot)
-        if result.slo_checked and not result.slo_met:
-            for violation in result.violations:
-                print(f"FAIL SLO: {violation}", file=sys.stderr)
-            return 1
-        return 0
+    from repro.faults import FaultPlan, chaos_plan
+    from repro.scenarios import ScenarioSpec, resolve_scenario, run_scenario
+    from repro.serve.loadgen import WORKLOAD_KINDS
+    from repro.serve.openloop import SloSpec
 
     if args.scenario:
-        from repro.scenarios import resolve_scenario, run_scenario, run_scenario_chaos
-
         spec = resolve_scenario(args.scenario)
         print(f"scenario {spec.name} [{spec.tier}] id={spec.scenario_id}")
-        if args.chaos:
-            return _finish_chaos_result(run_scenario_chaos(spec), args.json)
-        result = run_scenario(spec, workers=args.workers)
-        _write_prometheus(args.prom_out, result.snapshot)
-        return _finish_load_result(result, args.json)
-
-    if args.chaos:
-        chaos = run_chaos(
+    else:
+        spec = ScenarioSpec(
+            name="serve-bench",
+            tier="T2" if args.chaos else "T0",
+            description="the ad-hoc fleet of `vihot serve-bench`",
+            seed=args.seed,
             num_sessions=args.sessions,
             duration_s=args.duration,
             rate_hz=args.rate,
@@ -443,27 +387,20 @@ def cmd_serve_bench(args) -> int:
             stride_s=args.stride / 1000.0,
             budget_s=args.budget / 1000.0,
             queue_depth=args.queue_depth,
-            seed=args.seed,
+            workload_mix=WORKLOAD_KINDS if args.workload_mix else ("plain",),
+            fault_plan=chaos_plan(args.seed, args.duration / 3.0, 0.6 * args.duration)
+            if args.chaos
+            else FaultPlan(),
             batching=args.batched,
         )
-        return _finish_chaos_result(chaos, args.json)
-
-    result = run_load(
-        num_sessions=args.sessions,
-        duration_s=args.duration,
-        rate_hz=args.rate,
-        tick_interval_s=args.tick / 1000.0,
-        stride_s=args.stride / 1000.0,
-        budget_s=args.budget / 1000.0,
-        queue_depth=args.queue_depth,
-        verify_sessions=args.verify,
-        seed=args.seed,
-        batching=args.batched,
-        workload_mix=args.workload_mix,
+    result = run_scenario(
+        spec,
         workers=args.workers,
+        speedup=args.speedup if args.open_loop else None,
+        slo=SloSpec.parse(args.slo) if args.open_loop and args.slo else None,
+        verify_sessions=None if args.scenario else args.verify,
     )
-    _write_prometheus(args.prom_out, result.snapshot)
-    return _finish_load_result(result, args.json)
+    return _finish_fleet_result(result, args.json, args.prom_out)
 
 
 def cmd_scenarios(args) -> int:
@@ -471,7 +408,6 @@ def cmd_scenarios(args) -> int:
         list_scenarios,
         resolve_scenario,
         run_scenario,
-        run_scenario_chaos,
         validate_scenario,
     )
 
@@ -514,11 +450,7 @@ def cmd_scenarios(args) -> int:
     # args.action == "run"
     spec = resolve_scenario(args.name)
     print(f"scenario {spec.name} [{spec.tier}] id={spec.scenario_id}")
-    if args.chaos:
-        return _finish_chaos_result(run_scenario_chaos(spec), args.json)
-    return _finish_load_result(
-        run_scenario(spec, workers=args.workers), args.json
-    )
+    return _finish_fleet_result(run_scenario(spec, workers=args.workers), args.json)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -573,8 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--chaos",
         action="store_true",
-        help="run the fault-injection chaos scenario instead of the "
-        "clean-load bench (fails unless the fleet recovers)",
+        help="inject the default fault storm (every injector over the "
+        "middle of the run) into the ad-hoc fleet; fails unless nothing "
+        "escapes and the fleet recovers",
     )
     p.add_argument(
         "--batched",
@@ -594,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME_OR_TIER",
         help="run a registered scenario (e.g. t3-rush-hour-chaos) or a "
         "tier's flagship (e.g. T2) instead of the ad-hoc knobs above; "
-        "combine with --chaos for the containment driver",
+        "its faults come from the spec",
     )
     p.add_argument(
         "--workers",
@@ -607,9 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--open-loop",
         action="store_true",
-        help="wall-clock arrival schedule instead of the closed-loop "
-        "replay: arrivals never wait for the service, so latency "
-        "percentiles reflect real queueing delay",
+        help="wall-clock arrival schedule instead of the closed loop "
+        "(composes with --scenario, --chaos and --workers): arrivals "
+        "never wait for the service, so latency percentiles reflect "
+        "real queueing delay",
     )
     p.add_argument(
         "--speedup",
@@ -654,11 +588,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = scen_sub.add_parser("run", help="run one scenario end to end")
     sp.add_argument("name", help="scenario name or tier (tier runs its flagship)")
     sp.add_argument("--chaos", action="store_true",
-                    help="use the containment driver instead of loadgen")
+                    help="no-op kept for existing scripts: every run counts "
+                    "unhandled exceptions and requires the fleet to heal")
     sp.add_argument("--json", default=None, help="write the result dict as JSON")
     sp.add_argument("--workers", type=int, default=0,
                     help="serve through a sharded fabric of N worker "
-                    "processes (loadgen driver only)")
+                    "processes")
     sp.set_defaults(func=cmd_scenarios)
 
     p = sub.add_parser(

@@ -8,8 +8,11 @@ through T3 rush-hour chaos), and the canonical packs in
 :mod:`~repro.scenarios.packs` register themselves on import, so
 ``import repro.scenarios`` is enough to see the full catalogue.
 
-The CLI front end is ``vihot scenarios list|validate|run`` plus
-``vihot serve-bench --scenario <name-or-tier>``.
+:func:`run_scenario` is the one fleet driver: it serves a spec's fleet
+closed-loop or paced, single-process or sharded, and checks the serving
+contract (containment, recovery, standalone replay, latency SLO) in one
+:class:`FleetResult`.  The CLI front end is
+``vihot scenarios list|validate|run`` plus ``vihot serve-bench``.
 """
 
 from repro.scenarios.registry import (
@@ -18,7 +21,7 @@ from repro.scenarios.registry import (
     register_scenario,
     resolve_scenario,
 )
-from repro.scenarios.runner import run_scenario, run_scenario_chaos
+from repro.scenarios.runner import FleetResult, run_scenario
 from repro.scenarios.spec import TIERS, ScenarioSpec
 from repro.scenarios.validate import validate_scenario
 
@@ -28,13 +31,13 @@ from repro.scenarios import packs as _packs  # noqa: E402
 
 __all__ = [
     "TIERS",
+    "FleetResult",
     "ScenarioSpec",
     "get_scenario",
     "list_scenarios",
     "register_scenario",
     "resolve_scenario",
     "run_scenario",
-    "run_scenario_chaos",
     "validate_scenario",
 ]
 

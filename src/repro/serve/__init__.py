@@ -22,19 +22,16 @@ standalone ``OnlineTracker`` fed the same packets.
 """
 
 from repro.serve.batch import BatchedScheduler, BatchGroup, BatchPlanner
-from repro.serve.chaos import ChaosResult, run_chaos
 from repro.serve.export import render_prometheus
 from repro.serve.fabric import ServingFabric, merge_snapshots
 from repro.serve.ingest import IngestBatch, IngestQueue, IngestRecord
 from repro.serve.loadgen import (
     ALL_WORKLOAD_KINDS,
     WORKLOAD_KINDS,
-    LoadResult,
     SyntheticCabin,
     SyntheticCamera,
     kind_uses_imu,
     kind_workload,
-    run_load,
 )
 from repro.serve.manager import (
     ManagerTickReport,
@@ -49,12 +46,7 @@ from repro.serve.metrics import (
     MetricsRegistry,
     render_snapshot,
 )
-from repro.serve.openloop import (
-    OpenLoopResult,
-    SloSpec,
-    SloViolation,
-    run_open_loop,
-)
+from repro.serve.openloop import SloSpec, SloViolation
 from repro.serve.scheduler import RoundRobinScheduler, ServedEstimate, TickReport
 from repro.serve.shard import ShardRouter
 from repro.serve.shm import SharedCsiRing
@@ -109,18 +101,12 @@ __all__ = [
     "SharedCsiRing",
     "SloSpec",
     "SloViolation",
-    "OpenLoopResult",
-    "run_open_loop",
-    "run_load",
-    "LoadResult",
     "SyntheticCabin",
     "SyntheticCamera",
     "WORKLOAD_KINDS",
     "ALL_WORKLOAD_KINDS",
     "kind_workload",
     "kind_uses_imu",
-    "run_chaos",
-    "ChaosResult",
     "HealthPolicy",
     "SessionHealth",
     "HEALTH_STATES",

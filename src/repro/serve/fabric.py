@@ -34,9 +34,9 @@ without changing what any tracker computes:
 The fabric deliberately implements the manager's serving surface
 (``open_session`` / ``ingest`` / ``ingest_imu`` / ``tick`` /
 ``estimates`` / ``health_states`` / ``close_session`` / metrics), so
-:func:`repro.serve.loadgen.run_load` swaps one in with ``workers=N``
-and every downstream consumer — chaos runs, scenarios, benches — works
-unchanged.
+the fleet driver (:func:`repro.scenarios.run_scenario`) swaps one in
+with ``workers=N`` and every probe it runs — containment, recovery,
+standalone replay, latency — works unchanged.
 """
 
 from __future__ import annotations

@@ -10,17 +10,17 @@ concurrent sessions through the :class:`~repro.serve.manager.SessionManager`
 at far beyond real time.
 
 Every cabin is deterministic in ``(seed, cabin index)``: the same fleet
-replays bit-identically, which is what lets :func:`run_load` verify the
-acceptance property end-to-end — estimates served through the manager
-must equal a standalone :class:`~repro.core.online.OnlineTracker` fed
-the same packets and polled at the same instants.
+replays bit-identically, which is what lets the fleet driver
+(:func:`repro.scenarios.run_scenario`) verify the acceptance property
+end-to-end — estimates served through the manager must equal a
+standalone :class:`~repro.core.online.OnlineTracker` fed the same
+packets and polled at the same instants (:func:`_replay_standalone`,
+compared with :func:`estimates_identical`).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
-from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from repro.core.online import OnlineTracker
 from repro.core.profile import CsiProfile, PositionProfile
 from repro.core.stages import Estimate
 from repro.core.workloads import HEAD_WORKLOAD, engine_for_workload
-from repro.faults import FaultPlan, StreamFaults
-from repro.serve.fabric import ServingFabric
-from repro.serve.manager import ManagerTickReport, SessionManager
 
 #: Intel-5300-shaped packets.
 N_RX = 2
@@ -41,8 +38,8 @@ N_SUBCARRIERS = 30
 #: serves the whole fleet through the manager's profile cache.
 SYNTHETIC_FINGERPRINT = "synthetic-cabin-v1"
 
-#: The mixed-fleet workload kinds, cycled per cabin index when
-#: ``run_load(workload_mix=True)``:
+#: The head-tracking traffic shapes (``vihot serve-bench --workload-mix``
+#: cycles them per cabin index):
 #: ``plain`` (CSI only), ``forecast`` (nonzero horizon — shares its
 #: plain siblings' batch group, the items carry their own engines),
 #: ``camera`` (IMU + camera steering fallback — excluded from batches),
@@ -52,8 +49,8 @@ WORKLOAD_KINDS = ("plain", "forecast", "camera", "imu")
 #: Every kind a scenario's workload mix may name: the four head-tracking
 #: traffic shapes above plus the non-head estimation workloads
 #: (``localize`` — rear-seat occupant localization, ``breathing`` —
-#: respiration-rate micro-motion sensing).  Cycled per cabin index via
-#: ``run_load(workloads=...)``.
+#: respiration-rate micro-motion sensing).  A scenario's ``workload_mix``
+#: is cycled per cabin index.
 ALL_WORKLOAD_KINDS = WORKLOAD_KINDS + ("localize", "breathing")
 
 
@@ -174,79 +171,6 @@ class SyntheticCamera:
         return float(0.3 * np.sin(2.0 * np.pi * 0.25 * t + (self.seed % 7)))
 
 
-@dataclass(frozen=True)
-class LoadResult:
-    """What one :func:`run_load` run measured."""
-
-    sessions: int
-    packets: int
-    estimates: int
-    drops: int
-    deferrals: int
-    deadline_misses: int
-    wall_s: float
-    packets_per_s: float  # per-session packet rate actually sustained
-    session_packets_per_s: float  # sessions x packets/s, the headline
-    latency_p50_ms: float
-    latency_p90_ms: float
-    latency_p99_ms: float
-    verified_sessions: int
-    bit_identical: bool
-    metrics_line: str
-    batching: bool = False
-    batched_sessions: int = 0  # serving records produced by stacked calls
-    fallback_sessions: int = 0  # serving records on the sequential path
-    churned_sessions: int = 0  # sessions closed mid-run and reopened
-    workers: int = 0  # sharded-fabric worker count (0 = single process)
-    #: Per-captured-session poll log ``[(polled_t, estimate), ...]`` for
-    #: the first ``capture_sessions`` cabins — lets a caller compare two
-    #: runs (batched vs sequential) estimate-for-estimate.  Excluded
-    #: from :meth:`as_dict`: it is test plumbing, not a measurement.
-    captured: dict[str, list[tuple[float, Estimate | None]]] = field(
-        default_factory=dict
-    )
-    #: The run's final merged metrics snapshot (registry ``as_dict``
-    #: form) — what :func:`repro.serve.export.render_prometheus`
-    #: consumes.  Excluded from :meth:`as_dict` like ``captured``.
-    snapshot: dict[str, object] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "sessions": self.sessions,
-            "packets": self.packets,
-            "estimates": self.estimates,
-            "drops": self.drops,
-            "deferrals": self.deferrals,
-            "deadline_misses": self.deadline_misses,
-            "wall_s": self.wall_s,
-            "packets_per_s": self.packets_per_s,
-            "session_packets_per_s": self.session_packets_per_s,
-            "latency_p50_ms": self.latency_p50_ms,
-            "latency_p90_ms": self.latency_p90_ms,
-            "latency_p99_ms": self.latency_p99_ms,
-            "verified_sessions": self.verified_sessions,
-            "bit_identical": self.bit_identical,
-            "batching": self.batching,
-            "batched_sessions": self.batched_sessions,
-            "fallback_sessions": self.fallback_sessions,
-            "churned_sessions": self.churned_sessions,
-            "workers": self.workers,
-            "metrics": self.metrics_line,
-        }
-
-    def summary(self) -> str:
-        return (
-            f"{self.sessions} sessions x {self.packets // max(self.sessions, 1)} "
-            f"packets in {self.wall_s:.2f}s wall = "
-            f"{self.session_packets_per_s:,.0f} session-packets/s, "
-            f"{self.estimates} estimates "
-            f"(p50 {self.latency_p50_ms:.2f} ms, p90 {self.latency_p90_ms:.2f} ms), "
-            f"{self.drops} drops, {self.deferrals} deferrals, "
-            f"verify[{self.verified_sessions}]="
-            f"{'bit-identical' if self.bit_identical else 'MISMATCH'}"
-        )
-
-
 def estimates_identical(a: Estimate | None, b: Estimate | None) -> bool:
     """Bit-identical payload comparison, NaN-aware.
 
@@ -271,20 +195,6 @@ def estimates_identical(a: Estimate | None, b: Estimate | None) -> bool:
     )
 
 
-def _cabin_kind(
-    index: int, workload_mix: bool, workloads: Sequence[str] | None = None
-) -> str:
-    """The workload kind cabin ``index`` runs under.
-
-    An explicit ``workloads`` cycle (the scenario registry's mix) wins;
-    otherwise ``workload_mix`` cycles the head-tracking kinds and the
-    default is a plain fleet.
-    """
-    if workloads:
-        return workloads[index % len(workloads)]
-    return WORKLOAD_KINDS[index % len(WORKLOAD_KINDS)] if workload_mix else "plain"
-
-
 def _replay_standalone(
     cabin: SyntheticCabin,
     profile: CsiProfile,
@@ -299,7 +209,7 @@ def _replay_standalone(
     exactly the instants the manager's scheduler polled.
 
     IMU samples (when the cabin's workload carries them) are pushed
-    ahead of each CSI packet, mirroring :func:`run_load`'s loop: both
+    ahead of each CSI packet, mirroring the fleet driver's loop: both
     paths leave the tracker's IMU ring holding exactly the readings
     stamped at or before the current stream time when a poll lands.
     """
@@ -328,295 +238,3 @@ def _replay_standalone(
             produced.append(tracker.estimate(estimate_times[poll]))
             poll += 1
     return produced
-
-
-def run_load(
-    num_sessions: int = 50,
-    duration_s: float = 4.0,
-    rate_hz: float = 200.0,
-    tick_interval_s: float = 0.05,
-    stride_s: float = 0.25,
-    budget_s: float = 1.0,
-    queue_depth: int = 4096,
-    verify_sessions: int = 2,
-    config: ViHOTConfig | None = None,
-    buffer_s: float = 6.0,
-    seed: int = 0,
-    plan: FaultPlan | None = None,
-    batching: bool = False,
-    workload_mix: bool = False,
-    capture_sessions: int = 0,
-    workloads: Sequence[str] | None = None,
-    churn_sessions: int = 0,
-    workers: int = 0,
-    processes: bool = True,
-) -> LoadResult:
-    """Drive ``num_sessions`` synthetic cabins through one manager.
-
-    The fleet shares one cached profile (every cabin is the same car
-    model), streams in lockstep at ``rate_hz``, and the manager ticks
-    every ``tick_interval_s`` of stream time.  The first
-    ``verify_sessions`` cabins are replayed through standalone trackers
-    afterwards and compared estimate-for-estimate.
-
-    ``plan`` optionally wraps every cabin's packet stream in fault
-    injectors (see :mod:`repro.faults`).  With faults active the
-    standalone-replay check is skipped — injected streams diverge from
-    the pristine cabins by construction; with ``plan`` empty or ``None``
-    the code path is identical to before the parameter existed, so
-    fault-free runs stay bit-identical.
-
-    ``batching`` switches the manager to the fleet-batched scheduler
-    (:class:`~repro.serve.batch.BatchedScheduler`) — a performance
-    toggle that must not change a single served value.
-    ``workload_mix`` cycles cabins through :data:`WORKLOAD_KINDS` so the
-    fleet exercises every batch-planner path at once.  ``workloads``
-    (the scenario registry's mix) supersedes it: an explicit kind cycle
-    from :data:`ALL_WORKLOAD_KINDS`, which may include the non-head
-    estimation workloads (``localize``, ``breathing``) — those sessions
-    open with the matching serve-layer workload and cabin traffic
-    shape.  The first ``capture_sessions`` cabins get their full
-    ``(polled_t, estimate)`` poll logs recorded in
-    :attr:`LoadResult.captured` for cross-run comparison.
-
-    ``churn_sessions`` closes that many sessions (from the fleet's
-    tail) mid-run and reopens them shortly after — the T3 scenarios'
-    session-churn stress.  Churned cabins are excluded from
-    verification and capture (their reopened trackers legitimately
-    restart from empty buffers), and with the default of 0 the code
-    path is untouched.
-
-    ``workers`` > 0 swaps the single manager for a sharded
-    :class:`~repro.serve.fabric.ServingFabric` of that many shards
-    (``processes=False`` keeps the shards inline — same code path
-    minus the transport).  The drive loop, fault injection, churn and
-    standalone verification all run unchanged against the fabric's
-    manager-shaped facade, so the identity probes hold across worker
-    counts — the tentpole guarantee.
-    """
-    if num_sessions < 1:
-        raise ValueError("num_sessions must be >= 1")
-    if workloads is not None:
-        unknown = sorted(set(workloads) - set(ALL_WORKLOAD_KINDS))
-        if unknown:
-            raise ValueError(
-                f"unknown workload kinds {unknown}; known: "
-                f"{list(ALL_WORKLOAD_KINDS)}"
-            )
-    if churn_sessions < 0:
-        raise ValueError("churn_sessions must be >= 0")
-    if config is None:
-        # The fast search configuration the online benches use.
-        config = ViHOTConfig(profile_stride=8, num_length_candidates=3)
-
-    profile = synthetic_profile()
-    manager: SessionManager | ServingFabric
-    if workers:
-        manager = ServingFabric(
-            config,
-            workers=workers,
-            processes=processes,
-            queue_depth=queue_depth,
-            budget_s=budget_s,
-            stride_s=stride_s,
-            idle_timeout_s=10 * duration_s + 60.0,  # no idling mid-run
-            buffer_s=buffer_s,
-            batching=batching,
-        )
-    else:
-        manager = SessionManager(
-            config,
-            queue_depth=queue_depth,
-            budget_s=budget_s,
-            stride_s=stride_s,
-            idle_timeout_s=10 * duration_s + 60.0,  # no idling mid-run
-            buffer_s=buffer_s,
-            batching=batching,
-        )
-    cabin_kinds = [
-        _cabin_kind(k, workload_mix, workloads) for k in range(num_sessions)
-    ]
-    cabins = [
-        SyntheticCabin(f"cabin-{k:04d}", seed=seed * 10_000 + k, duration_s=duration_s,
-                       rate_hz=rate_hz, workload=kind_workload(cabin_kinds[k]))
-        for k in range(num_sessions)
-    ]
-    kinds = {
-        cabin.cabin_id: cabin_kinds[k] for k, cabin in enumerate(cabins)
-    }
-    cameras: dict[str, SyntheticCamera] = {}
-    configs: dict[str, ViHOTConfig] = {}
-
-    def open_cabin(k: int, cabin: SyntheticCabin) -> None:
-        kind = kinds[cabin.cabin_id]
-        session_config = (
-            replace(config, horizon_s=0.1) if kind == "forecast" else config
-        )
-        camera = SyntheticCamera(seed=seed * 10_000 + k) if kind == "camera" else None
-        configs[cabin.cabin_id] = session_config
-        if camera is not None:
-            cameras[cabin.cabin_id] = camera
-        manager.open_session(
-            cabin.cabin_id,
-            fingerprint=SYNTHETIC_FINGERPRINT,
-            build_profile=lambda: profile,
-            camera=camera,
-            config=session_config if kind == "forecast" else None,
-            workload=kind_workload(kind),
-        )
-
-    for k, cabin in enumerate(cabins):
-        open_cabin(k, cabin)
-
-    faults: dict[str, StreamFaults] = {}
-    if plan is not None and plan.enabled:
-        faults = {cabin.cabin_id: plan.bind(cabin.cabin_id) for cabin in cabins}
-        verify_sessions = 0  # injected streams diverge from pristine cabins
-
-    # Churn takes sessions from the fleet's tail so it never overlaps
-    # the verification/capture probes at the front.
-    churn_sessions = min(
-        churn_sessions,
-        max(num_sessions - max(verify_sessions, capture_sessions), 0),
-    )
-    churn_ids = [cabin.cabin_id for cabin in cabins[num_sessions - churn_sessions:]
-                 ] if churn_sessions else []
-    churn_close_t = 0.45 * duration_s
-    churn_reopen_t = 0.65 * duration_s
-    churn_phase = "open"  # open -> closed -> reopened
-    closed: set[str] = set()
-
-    # Per-tracked-session poll log: the stream times the scheduler
-    # actually polled at (estimates or declines both advance the clock).
-    # Tracked = the verification probes plus any capture requests.
-    num_steps = len(cabins[0].times)
-    tracked = max(verify_sessions, capture_sessions)
-    servings: dict[str, list[tuple[float, Estimate | None]]] = {
-        cabin.cabin_id: [] for cabin in cabins[:tracked]
-    }
-    batched_total = 0
-    fallback_total = 0
-
-    start = time.perf_counter()
-    next_tick = tick_interval_s
-
-    def record(report: ManagerTickReport) -> None:
-        nonlocal batched_total, fallback_total
-        batched_total += report.scheduler.batched_sessions
-        fallback_total += report.scheduler.fallback_sessions
-        for served in report.scheduler.served:
-            if served.session_id in servings:
-                servings[served.session_id].append(
-                    (served.polled_t, served.estimate)
-                )
-
-    imu_cursors = {cabin.cabin_id: 0 for cabin in cabins}
-    for k in range(num_steps):
-        t = float(cabins[0].times[k])
-        if churn_ids and churn_phase == "open" and t >= churn_close_t:
-            for cabin_id in churn_ids:
-                manager.close_session(cabin_id)
-                closed.add(cabin_id)
-            churn_phase = "closed"
-        elif churn_ids and churn_phase == "closed" and t >= churn_reopen_t:
-            for ck, cabin in enumerate(cabins):
-                if cabin.cabin_id in closed:
-                    open_cabin(ck, cabin)
-            closed.clear()
-            churn_phase = "reopened"
-        for cabin in cabins:
-            uses_imu = kind_uses_imu(kinds[cabin.cabin_id])
-            if cabin.cabin_id in closed:
-                # A disconnected car streams nothing; its unsent IMU
-                # backlog is discarded, not delivered on reconnect.
-                if uses_imu:
-                    cursor = imu_cursors[cabin.cabin_id]
-                    while (
-                        cursor < len(cabin.imu_times)
-                        and cabin.imu_times[cursor] <= t
-                    ):
-                        cursor += 1
-                    imu_cursors[cabin.cabin_id] = cursor
-                continue
-            if uses_imu:
-                cursor = imu_cursors[cabin.cabin_id]
-                while cursor < len(cabin.imu_times) and cabin.imu_times[cursor] <= t:
-                    manager.ingest_imu(
-                        cabin.cabin_id,
-                        float(cabin.imu_times[cursor]),
-                        float(cabin.imu_rates[cursor]),
-                    )
-                    cursor += 1
-                imu_cursors[cabin.cabin_id] = cursor
-            if faults:
-                for ft, fcsi in faults[cabin.cabin_id].process(t, cabin.csi_at(k)):
-                    manager.ingest(cabin.cabin_id, ft, fcsi)
-            else:
-                manager.ingest(cabin.cabin_id, t, cabin.csi_at(k))
-        if t >= next_tick:
-            record(manager.tick())
-            next_tick += tick_interval_s
-    record(manager.tick())
-    wall_s = time.perf_counter() - start
-
-    # Verification: replay the probe cabins standalone.
-    bit_identical = True
-    for cabin in cabins[:verify_sessions]:
-        log = servings[cabin.cabin_id]
-        kind = kinds[cabin.cabin_id]
-        standalone = _replay_standalone(
-            cabin,
-            profile,
-            configs[cabin.cabin_id],
-            buffer_s,
-            [t for t, _ in log],
-            camera=cameras.get(cabin.cabin_id),
-            with_imu=kind_uses_imu(kind),
-            workload=kind_workload(kind),
-        )
-        served_estimates = [e for _, e in log]
-        if len(standalone) != len(served_estimates) or not all(
-            estimates_identical(a, b)
-            for a, b in zip(standalone, served_estimates)
-        ):
-            bit_identical = False
-
-    snapshot = manager.metrics_snapshot()
-    counters = snapshot["counters"]
-    assert isinstance(counters, dict)
-    latency = manager.metrics.histogram("estimate_latency_ms")
-    latency_p50 = latency.percentile(50)
-    latency_p90 = latency.percentile(90)
-    latency_p99 = latency.percentile(99)
-    metrics_line = manager.render_metrics()
-    if isinstance(manager, ServingFabric):
-        manager.close()
-    packets = int(counters["packets_ingested"])
-    aggregate_rate = packets / wall_s if wall_s > 0 else float("inf")
-    return LoadResult(
-        sessions=num_sessions,
-        packets=packets,
-        estimates=int(counters["estimates_served"]),
-        drops=int(counters["packets_dropped"]),
-        deferrals=int(counters["scheduler_deferrals"]),
-        deadline_misses=int(counters["deadline_misses"]),
-        wall_s=wall_s,
-        packets_per_s=aggregate_rate / num_sessions,
-        session_packets_per_s=aggregate_rate,
-        latency_p50_ms=latency_p50,
-        latency_p90_ms=latency_p90,
-        latency_p99_ms=latency_p99,
-        verified_sessions=min(verify_sessions, num_sessions),
-        bit_identical=bit_identical,
-        metrics_line=metrics_line,
-        batching=batching,
-        batched_sessions=batched_total,
-        fallback_sessions=fallback_total,
-        churned_sessions=len(churn_ids),
-        workers=workers,
-        captured={
-            cabin.cabin_id: servings[cabin.cabin_id]
-            for cabin in cabins[:capture_sessions]
-        },
-        snapshot=dict(snapshot),
-    )

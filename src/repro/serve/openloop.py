@@ -1,37 +1,23 @@
-"""Open-loop load generation with latency-percentile SLO gates.
+"""Latency-percentile SLO gates for paced (open-loop) fleet runs.
 
-:func:`repro.serve.loadgen.run_load` is *closed-loop*: the driver
-pushes packets as fast as the serving layer consumes them, so it
-measures throughput and bit-identity but can never show queueing delay
-— a slow tick simply slows the offered load down with it.  Production
-traffic does the opposite: cabins transmit on their own clock whether
-the service is keeping up or not.  :func:`run_open_loop` replays the
-same deterministic synthetic fleet on a *wall-clock arrival schedule*
-(stream time compressed by ``speedup``), never waiting for the
-service, and measures each estimate's end-to-end latency — the wall
-time from its newest packet's scheduled arrival to the moment the
-scheduler served it.  When ingest outruns serving, arrivals keep their
-schedule and latency grows, which is exactly the signal a
-percentile SLO (:class:`SloSpec`, "p99=50,p99.9=200") is gated on.
+A closed-loop run pushes packets as fast as the serving layer consumes
+them, so it can never show queueing delay: a slow tick simply slows the
+offered load down with it.  Production traffic does the opposite —
+cabins transmit on their own clock whether the service keeps up or
+not.  Paced runs (:func:`repro.scenarios.run_scenario` with
+``speedup``) replay the fleet on that kind of wall-clock arrival
+schedule and digest each estimate's arrival -> serve latency; a
+:class:`SloSpec` (``"p99=50,p99.9=200"``) turns any percentile of that
+digest into a hard gate.
 
-Latencies here are wall-clock measurements — real numbers about this
-machine, not bit-reproducible ones.  The open-loop mode therefore
-lives beside the closed-loop replay, never replaces it: determinism
-pins come from ``run_load``, capacity claims come from here.
+Latencies are wall-clock measurements — real numbers about the machine,
+not bit-reproducible ones — so SLO gates decide capacity claims while
+the estimates themselves stay pinned by standalone replay.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from collections.abc import Sequence
-
-from repro.core.config import ViHOTConfig
-from repro.serve.fabric import ServingFabric
-from repro.serve.loadgen import SYNTHETIC_FINGERPRINT, SyntheticCabin, synthetic_profile
-from repro.serve.manager import SessionManager
-from repro.serve.metrics import Histogram
-from repro.serve.scheduler import ServedEstimate
+from dataclasses import dataclass
 
 #: Summary keys an SLO may gate on (``p99.9`` spelling normalised).
 _SLO_KEYS = ("p50", "p90", "p99", "p99_9", "max")
@@ -98,196 +84,3 @@ class SloSpec:
             if not actual <= limit:
                 violations.append(SloViolation(key, limit, actual))
         return tuple(violations)
-
-
-@dataclass(frozen=True)
-class OpenLoopResult:
-    """What one :func:`run_open_loop` run measured."""
-
-    sessions: int
-    workers: int
-    packets: int
-    estimates: int
-    drops: int
-    wall_s: float
-    speedup: float
-    offered_packets_per_s: float  # the arrival schedule's aggregate rate
-    latency: dict[str, float]  # Histogram.summary() of end-to-end ms
-    violations: tuple[SloViolation, ...]
-    slo_checked: bool
-    metrics_line: str
-    #: Final merged metrics snapshot for the Prometheus exporter —
-    #: excluded from :meth:`as_dict` (export plumbing, not a number).
-    snapshot: dict[str, object] = field(default_factory=dict)
-
-    @property
-    def slo_met(self) -> bool:
-        return not self.violations
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "sessions": self.sessions,
-            "workers": self.workers,
-            "packets": self.packets,
-            "estimates": self.estimates,
-            "drops": self.drops,
-            "wall_s": self.wall_s,
-            "speedup": self.speedup,
-            "offered_packets_per_s": self.offered_packets_per_s,
-            "latency_ms": self.latency,
-            "slo_checked": self.slo_checked,
-            "slo_met": self.slo_met,
-            "violations": [str(v) for v in self.violations],
-            "metrics": self.metrics_line,
-        }
-
-    def summary(self) -> str:
-        slo = (
-            "not checked"
-            if not self.slo_checked
-            else ("met" if self.slo_met else "; ".join(str(v) for v in self.violations))
-        )
-        return (
-            f"open-loop {self.sessions} sessions x {self.workers or 1} worker(s) "
-            f"@ {self.offered_packets_per_s:,.0f} packets/s offered: "
-            f"{self.estimates} estimates, latency p50 "
-            f"{self.latency['p50']:.2f} ms / p99 {self.latency['p99']:.2f} ms "
-            f"/ p99.9 {self.latency['p99_9']:.2f} ms, {self.drops} drops, "
-            f"SLO {slo}"
-        )
-
-
-def run_open_loop(
-    num_sessions: int = 8,
-    duration_s: float = 2.0,
-    rate_hz: float = 100.0,
-    tick_interval_s: float = 0.05,
-    speedup: float = 10.0,
-    workers: int = 0,
-    processes: bool = True,
-    slo: SloSpec | None = None,
-    stride_s: float = 0.25,
-    budget_s: float = 1.0,
-    queue_depth: int = 4096,
-    config: ViHOTConfig | None = None,
-    buffer_s: float = 6.0,
-    seed: int = 0,
-) -> OpenLoopResult:
-    """Drive the synthetic fleet on a fixed wall-clock arrival schedule.
-
-    Packet ``k`` of stream time ``t`` arrives at wall time
-    ``start + t / speedup`` whether or not the service has kept up;
-    manager ticks fire on the same compressed clock.  Per served
-    estimate the end-to-end latency is ``serve_wall - arrival_wall``
-    of the newest packet it consumed.  With ``workers > 0`` the fleet
-    serves through a :class:`ServingFabric`; otherwise through one
-    in-process :class:`SessionManager` — same traffic either way, so
-    the two latency digests are directly comparable.
-    """
-    if num_sessions < 1:
-        raise ValueError("num_sessions must be >= 1")
-    if speedup <= 0:
-        raise ValueError("speedup must be positive")
-    if config is None:
-        config = ViHOTConfig(profile_stride=8, num_length_candidates=3)
-
-    profile = synthetic_profile()
-    idle_timeout_s = 10 * duration_s + 60.0
-    manager: SessionManager | ServingFabric
-    if workers:
-        manager = ServingFabric(
-            config,
-            workers=workers,
-            processes=processes,
-            queue_depth=queue_depth,
-            budget_s=budget_s,
-            stride_s=stride_s,
-            idle_timeout_s=idle_timeout_s,
-            buffer_s=buffer_s,
-        )
-    else:
-        manager = SessionManager(
-            config,
-            queue_depth=queue_depth,
-            budget_s=budget_s,
-            stride_s=stride_s,
-            idle_timeout_s=idle_timeout_s,
-            buffer_s=buffer_s,
-        )
-    cabins = [
-        SyntheticCabin(
-            f"cabin-{k:04d}",
-            seed=seed * 10_000 + k,
-            duration_s=duration_s,
-            rate_hz=rate_hz,
-        )
-        for k in range(num_sessions)
-    ]
-    latency = Histogram(
-        "openloop_latency_ms", "end-to-end estimate latency", capacity=1 << 15
-    )
-    estimates_seen = 0
-    try:
-        for cabin in cabins:
-            manager.open_session(
-                cabin.cabin_id,
-                fingerprint=SYNTHETIC_FINGERPRINT,
-                build_profile=lambda: profile,
-            )
-
-        start = time.perf_counter()
-
-        def observe(report_served: Sequence[ServedEstimate]) -> None:
-            nonlocal estimates_seen
-            serve_wall = time.perf_counter() - start
-            for served in report_served:
-                if served.error is not None or served.estimate is None:
-                    continue
-                estimates_seen += 1
-                arrival_wall = served.polled_t / speedup
-                latency.observe((serve_wall - arrival_wall) * 1e3)
-
-        next_tick = tick_interval_s
-        num_steps = len(cabins[0].times)
-        for k in range(num_steps):
-            t = float(cabins[0].times[k])
-            target = start + t / speedup
-            now = time.perf_counter()
-            if now < target:
-                time.sleep(target - now)
-            # Behind schedule: do NOT slow down — that is the point.
-            for cabin in cabins:
-                manager.ingest(cabin.cabin_id, t, cabin.csi_at(k))
-            if t >= next_tick:
-                observe(manager.tick().scheduler.served)
-                next_tick += tick_interval_s
-        observe(manager.tick().scheduler.served)
-        wall_s = time.perf_counter() - start
-
-        snapshot = manager.metrics_snapshot()
-        counters = snapshot["counters"]
-        assert isinstance(counters, dict)
-        metrics_line = manager.render_metrics()
-    finally:
-        if isinstance(manager, ServingFabric):
-            manager.close()
-
-    summary = latency.summary()
-    violations: tuple[SloViolation, ...] = ()
-    if slo is not None:
-        violations = slo.evaluate(summary)
-    return OpenLoopResult(
-        sessions=num_sessions,
-        workers=workers,
-        packets=int(counters["packets_ingested"]),
-        estimates=estimates_seen,
-        drops=int(counters["packets_dropped"]),
-        wall_s=wall_s,
-        speedup=speedup,
-        offered_packets_per_s=num_sessions * rate_hz * speedup,
-        latency=summary,
-        violations=violations,
-        slo_checked=slo is not None,
-        metrics_line=metrics_line,
-        snapshot=dict(snapshot),
-    )

@@ -175,10 +175,10 @@ def test_tracker_output_is_bit_identical_under_contracts(
 def test_flagship_scenarios_pass_under_contracts(contract_slate, scenario_name):
     """The ISSUE acceptance runs: T0 and T2 flagship traffic crosses the
     annotated boundaries with zero contract violations."""
-    from repro.scenarios import get_scenario, run_scenario_chaos
+    from repro.scenarios import get_scenario, run_scenario
 
     rc.activate()
-    result = run_scenario_chaos(get_scenario(scenario_name))
+    result = run_scenario(get_scenario(scenario_name))
     assert result.unhandled == 0
     assert result.all_healthy
     counts = rc.summary()

@@ -1,4 +1,4 @@
-"""The ISSUE acceptance run: a 50-session mixed fleet under T2 faults.
+"""The acceptance run: a 50-session mixed fleet under T2 faults.
 
 Head tracking, occupant localization and breathing sensing share one
 ``SessionManager`` tick loop while every injector class fires; nothing
@@ -6,20 +6,20 @@ may escape the serving layer's containment and the fleet must heal once
 the fault window closes.
 """
 
-from repro.scenarios import get_scenario, run_scenario_chaos
-from repro.serve.chaos import run_chaos
+from dataclasses import replace
+
+from repro.scenarios import get_scenario, run_scenario
 from repro.serve.loadgen import ALL_WORKLOAD_KINDS
 
 
 def test_fifty_session_mixed_fleet_under_t2_faults():
     spec = get_scenario("t2-downtown-interference")
-    result = run_chaos(
-        num_sessions=50,
-        duration_s=spec.duration_s,
-        rate_hz=spec.rate_hz,
-        seed=spec.seed,
-        plan=spec.fault_plan,
-        workloads=("plain", "localize", "breathing"),
+    result = run_scenario(
+        replace(
+            spec,
+            num_sessions=50,
+            workload_mix=("plain", "localize", "breathing"),
+        )
     )
     assert result.sessions == 50
     assert result.unhandled == 0
@@ -29,19 +29,25 @@ def test_fifty_session_mixed_fleet_under_t2_faults():
 
 
 def test_scenario_chaos_driver_runs_the_t3_flagship():
-    """The registry's chaos entry point drives the full-stack pack —
-    every cabin kind, batched — with the same containment guarantees."""
+    """The fleet driver serves the full-stack pack — every cabin kind,
+    batched, churning — with the same containment guarantees, on one
+    manager and through a sharded fabric."""
     spec = get_scenario("t3-rush-hour-chaos")
     assert set(spec.workload_mix) == set(ALL_WORKLOAD_KINDS)
-    result = run_scenario_chaos(spec)
+    result = run_scenario(spec)
     assert result.unhandled == 0
     assert result.all_healthy
+    # Every spec field applies under containment: the churn too.
+    assert result.churned_sessions == spec.churn_sessions == 2
+    sharded = run_scenario(spec, workers=2, processes=False)
+    assert sharded.unhandled == 0
+    assert sharded.all_healthy
 
 
 def test_clean_scenario_chaos_sees_no_faults():
-    """T0 through the chaos driver must not inherit the default storm:
-    the spec's empty plan travels verbatim."""
-    result = run_scenario_chaos(get_scenario("t0-calm-commute"))
+    """T0 must not inherit a fault storm: the spec's empty plan travels
+    verbatim."""
+    result = run_scenario(get_scenario("t0-calm-commute"))
     assert result.unhandled == 0
     assert result.rejected == 0
     assert result.quarantines == 0

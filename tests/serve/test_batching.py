@@ -20,17 +20,16 @@ from dataclasses import replace
 import pytest
 
 from repro.core.config import ViHOTConfig
-from repro.faults import chaos_plan
+from repro.faults import FaultPlan, chaos_plan
+from repro.scenarios import ScenarioSpec, run_scenario
 from repro.serve import SessionManager
 from repro.serve.batch import BatchPlanner
-from repro.serve.chaos import run_chaos
 from repro.serve.loadgen import (
     SYNTHETIC_FINGERPRINT,
     WORKLOAD_KINDS,
     SyntheticCabin,
     SyntheticCamera,
     estimates_identical,
-    run_load,
     synthetic_profile,
 )
 from repro.serve.session import DEGRADED, HEALTHY
@@ -42,17 +41,23 @@ SEED = 5
 
 
 def _run(batching: bool, plan=None) -> object:
-    return run_load(
+    spec = ScenarioSpec(
+        "batching-mix",
+        "T2" if plan is not None else "T1",
+        "the mixed head-tracking fleet",
         num_sessions=FLEET,
         duration_s=DURATION_S,
         rate_hz=RATE_HZ,
         budget_s=30.0,  # everything fits: scheduling must not perturb output
-        verify_sessions=0 if plan is not None else len(WORKLOAD_KINDS),
-        capture_sessions=FLEET,
-        workload_mix=True,
+        workload_mix=WORKLOAD_KINDS,
         batching=batching,
         seed=SEED,
-        plan=plan,
+        fault_plan=plan if plan is not None else FaultPlan(),
+    )
+    return run_scenario(
+        spec,
+        verify_sessions=0 if plan is not None else len(WORKLOAD_KINDS),
+        capture_sessions=FLEET,
     )
 
 
@@ -142,7 +147,12 @@ def test_chaos_accounting_identical(chaos_runs):
 def test_chaos_containment_holds_under_batching():
     """The chaos runner's containment/recovery guarantees are scheduler
     independent: nothing escapes, and the fleet heals."""
-    result = run_chaos(num_sessions=20, duration_s=2.0, batching=True, seed=SEED)
+    spec = ScenarioSpec(
+        "batching-storm", "T2", "the default storm, batched",
+        num_sessions=20, duration_s=2.0, batching=True, seed=SEED,
+        fault_plan=chaos_plan(SEED, 2.0 / 3.0, 0.6 * 2.0),
+    )
+    result = run_scenario(spec)
     assert result.unhandled == 0
     assert result.all_healthy
     assert result.quarantines > 0  # the storm actually bit

@@ -1,10 +1,12 @@
 """The chaos scenario at acceptance scale, plus the off-by-default
 bit-identity property of the fault wrapper."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.faults import FaultPlan, FaultWindow, PacketLossBurst, chaos_plan
-from repro.serve import run_chaos, run_load
+from repro.scenarios import ScenarioSpec, run_scenario
 from repro.serve.session import HEALTHY
 
 INJECTOR_NAMES = {
@@ -17,10 +19,22 @@ INJECTOR_NAMES = {
 }
 
 
+def _fleet(num_sessions, duration_s, rate_hz, seed, storm=True):
+    """An unregistered fleet spec; ``storm`` adds the default fault storm
+    (every injector over ``[duration_s/3, 0.6 * duration_s)``)."""
+    return ScenarioSpec(
+        "chaos-fleet", "T2" if storm else "T0", "test fleet",
+        seed=seed, num_sessions=num_sessions, duration_s=duration_s,
+        rate_hz=rate_hz,
+        fault_plan=chaos_plan(seed, duration_s / 3.0, 0.6 * duration_s)
+        if storm else FaultPlan(),
+    )
+
+
 def test_chaos_fleet_contained_and_recovers():
     """50 sessions through every injector: zero unhandled exceptions,
     real degradation, full recovery once the faults clear."""
-    result = run_chaos(num_sessions=50, duration_s=3.0, rate_hz=100.0, seed=0)
+    result = run_scenario(_fleet(50, 3.0, 100.0, seed=0))
 
     # 1. Containment.
     assert result.unhandled == 0
@@ -51,8 +65,8 @@ def test_chaos_fleet_contained_and_recovers():
 
 
 def test_chaos_is_deterministic():
-    a = run_chaos(num_sessions=5, duration_s=2.5, rate_hz=100.0, seed=11)
-    b = run_chaos(num_sessions=5, duration_s=2.5, rate_hz=100.0, seed=11)
+    a = run_scenario(_fleet(5, 2.5, 100.0, seed=11))
+    b = run_scenario(_fleet(5, 2.5, 100.0, seed=11))
     keys = (
         "packets_offered", "ingested", "rejected", "drops", "estimates",
         "poll_failures", "quarantines", "releases", "recoveries",
@@ -64,18 +78,17 @@ def test_chaos_is_deterministic():
 
 
 def test_chaos_different_seeds_differ():
-    a = run_chaos(num_sessions=4, duration_s=2.5, rate_hz=100.0, seed=1)
-    b = run_chaos(num_sessions=4, duration_s=2.5, rate_hz=100.0, seed=2)
+    a = run_scenario(_fleet(4, 2.5, 100.0, seed=1))
+    b = run_scenario(_fleet(4, 2.5, 100.0, seed=2))
     assert a.injector_touches != b.injector_touches
 
 
 def test_empty_plan_is_bit_identical_to_no_plan():
-    """With injectors disabled, run_load through the plan parameter is
-    the same code path — and the standalone bit-identity check holds."""
-    scale = dict(num_sessions=2, duration_s=2.0, rate_hz=100.0,
-                 verify_sessions=1, seed=3)
-    base = run_load(**scale)
-    empty = run_load(**scale, plan=FaultPlan())
+    """With injectors disabled, a spec's fault plan is the same code
+    path — and the standalone bit-identity check holds."""
+    spec = _fleet(2, 2.0, 100.0, seed=3, storm=False)
+    base = run_scenario(spec, verify_sessions=1)
+    empty = run_scenario(replace(spec, fault_plan=FaultPlan()), verify_sessions=1)
     assert base.bit_identical
     assert empty.bit_identical
     stream_keys = ("sessions", "packets", "estimates", "drops",
@@ -85,7 +98,7 @@ def test_empty_plan_is_bit_identical_to_no_plan():
         assert da[key] == db[key], key
 
 
-def test_run_load_with_faults_skips_verification():
+def test_faulted_run_skips_verification():
     plan = FaultPlan(
         injectors=(
             PacketLossBurst(drop_rate=0.3, burst_mean=4.0,
@@ -93,8 +106,8 @@ def test_run_load_with_faults_skips_verification():
         ),
         seed=0,
     )
-    result = run_load(num_sessions=2, duration_s=2.0, rate_hz=100.0,
-                      verify_sessions=1, seed=3, plan=plan)
+    spec = replace(_fleet(2, 2.0, 100.0, seed=3), fault_plan=plan)
+    result = run_scenario(spec, verify_sessions=1)
     assert result.verified_sessions == 0
     assert result.bit_identical  # vacuously: nothing compared
     # Fewer packets arrived than the pristine run offers.

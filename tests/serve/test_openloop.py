@@ -1,12 +1,14 @@
-"""Open-loop load generation and SLO gating."""
+"""Open-loop (paced) fleet runs and SLO gating."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from repro.serve.openloop import SloSpec, SloViolation, run_open_loop
+from repro.scenarios import ScenarioSpec, get_scenario, run_scenario
+from repro.serve.openloop import SloSpec, SloViolation
 
 
 class TestSloSpec:
@@ -49,16 +51,15 @@ class TestSloSpec:
 # a limit chosen for that runner).
 LENIENT = SloSpec.parse("p99=60000")
 
+#: A small clean fleet: 1.6 s of 50 Hz traffic per cabin.
+SMALL = ScenarioSpec(
+    "open-loop-small", "T0", "a small paced fleet",
+    num_sessions=3, duration_s=1.6, rate_hz=50.0,
+)
+
 
 def test_open_loop_single_process() -> None:
-    result = run_open_loop(
-        num_sessions=3,
-        duration_s=1.6,
-        rate_hz=50.0,
-        speedup=40.0,
-        workers=0,
-        slo=LENIENT,
-    )
+    result = run_scenario(SMALL, speedup=40.0, workers=0, slo=LENIENT)
     assert result.sessions == 3
     assert result.workers == 0
     assert result.packets == 3 * len(range(int(1.6 * 50.0)))
@@ -75,25 +76,23 @@ def test_open_loop_single_process() -> None:
 
 
 def test_open_loop_through_inline_fabric() -> None:
-    result = run_open_loop(
-        num_sessions=3,
-        duration_s=1.6,
-        rate_hz=50.0,
-        speedup=40.0,
-        workers=2,
-        processes=False,
-        slo=LENIENT,
-    )
-    assert result.workers == 2
-    assert result.estimates > 0
-    assert result.slo_met
+    # The T3 flagship carries every cabin kind, faults, churn and
+    # batching: pacing must compose with all of it.
+    for spec in (SMALL, get_scenario("t3-rush-hour-chaos")):
+        result = run_scenario(
+            spec, speedup=40.0, workers=2, processes=False, slo=LENIENT
+        )
+        assert result.workers == 2
+        assert result.estimates > 0
+        assert result.slo_met
+        assert result.unhandled == 0, spec.name
+        assert result.all_healthy, spec.name
+        assert result.latency["count"] == result.estimates, spec.name
 
 
 def test_open_loop_reports_violations() -> None:
-    result = run_open_loop(
-        num_sessions=2,
-        duration_s=1.6,
-        rate_hz=50.0,
+    result = run_scenario(
+        replace(SMALL, num_sessions=2),
         speedup=40.0,
         slo=SloSpec.parse("p50=0.000001"),
     )
@@ -104,6 +103,6 @@ def test_open_loop_reports_violations() -> None:
 
 def test_open_loop_validation() -> None:
     with pytest.raises(ValueError):
-        run_open_loop(num_sessions=0)
+        run_scenario(replace(SMALL, num_sessions=0), speedup=10.0)
     with pytest.raises(ValueError):
-        run_open_loop(speedup=0.0)
+        run_scenario(SMALL, speedup=0.0)
