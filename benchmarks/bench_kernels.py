@@ -2,8 +2,9 @@
 
 These are the only benches measuring steady-state throughput rather than
 regenerating a figure: the batched DTW matcher (the run-time hot path,
-Alg. 1), its stacked cross-session form, CSI synthesis (Eq. 1) and the
-sanitiser (Sec. 3.2) in both scalar and fleet-batched forms.
+Alg. 1), its stacked cross-session form, the matcher's own serve and
+figure shapes, CSI synthesis (Eq. 1) and the sanitiser (Sec. 3.2) in
+both scalar and fleet-batched forms.
 
 Two entry points:
 
@@ -18,6 +19,7 @@ Two entry points:
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -25,9 +27,12 @@ from time import perf_counter
 
 import numpy as np
 
+from repro.core.config import ViHOTConfig
 from repro.core.sanitize import sanitize_stream, sanitize_streams
 from repro.dsp.dtw import batched_dtw_distance, stacked_dtw_distance
+from repro.dsp.windows import sliding_windows
 from repro.rf.multipath import synthesize_csi
+from repro.scenarios.runner import SERVE_CONFIG
 
 try:
     import pytest
@@ -40,15 +45,34 @@ SCHEMA = "vihot-bench-kernels/1"
 #: Stacked-form fleet width: how many sessions' queries ride one call.
 STACK = 16
 
-#: The stacked DP's two regimes, both reported: ``small`` keeps the
-#: (S, B, m, L) cost tensor cache-resident, where stacking amortises
-#: numpy dispatch (~2x); ``wide`` is the serving hot path's observed
-#: shape (8 sessions x ~150 candidates x length 40), where the tensor
-#: spills cache and stacking roughly breaks even — the end-to-end
-#: serving win at that shape comes from candidate-bank amortisation in
-#: ``SeriesMatcher.match_many`` and is measured by ``bench_serve.py``.
+#: The stacked DP's two regimes, both reported on random contiguous
+#: banks (so each call builds a cost table of ``B * L`` samples per
+#: query): ``small`` is where stacking amortises numpy dispatch over the
+#: ``m + L - 1`` diagonals (~1.8-1.9x); ``wide`` is the serving hot
+#: path's observed shape (8 sessions x ~150 candidates x length 40),
+#: where the per-diagonal work is large enough that stacking breaks
+#: even (~0.9-1.0x) — the end-to-end serving win at that shape comes from
+#: candidate-bank amortisation in ``SeriesMatcher.match_many`` and is
+#: measured by ``bench_serve.py``.
 STACKED_SMALL = (16, 40, 25)  # (stack, candidates, candidate length)
 STACKED_WIDE = (8, 150, 40)
+
+#: The matcher's own shapes as ``(name, config, profile samples,
+#: sessions)``: one window against one position's profile at every
+#: candidate length, through the sliding-window banks ``SeriesMatcher``
+#: builds.  ``serve`` is the fleet config (m=20, lengths 10/25/40,
+#: stride 8) on 1,400 profile samples, one session
+#: (``batched_dtw_distance``) and eight stacked (``stacked_dtw_distance``);
+#: ``figure`` is the default config (five lengths, stride 4) on 2,400
+#: samples at W=20 and W=60 (the latter decimated x3 to 20 samples).
+_DEFAULT = ViHOTConfig()
+MATCH_SHAPES = (
+    ("serve_match_s1", SERVE_CONFIG, 1400, 1),
+    ("serve_match_s8", SERVE_CONFIG, 1400, 8),
+    ("figure_match_w20", _DEFAULT, 2400, 1),
+    ("figure_match_w60",
+     dataclasses.replace(_DEFAULT, window_s=3 * _DEFAULT.window_s), 2400, 1),
+)
 
 
 def _dtw_inputs(rng=None):
@@ -64,6 +88,29 @@ def _stacked_inputs(shape=STACKED_SMALL):
     queries = rng.uniform(-np.pi, np.pi, (stack, 21))
     candidates = rng.uniform(-np.pi, np.pi, (n_candidates, length))
     return queries, candidates
+
+
+def _match_inputs(config, samples, stack):
+    """Decimated queries and sliding-window banks, as the matcher builds
+    them for one position of ``samples`` profile samples."""
+    rng = np.random.default_rng(3)
+    phases = rng.uniform(-np.pi, np.pi, samples)
+    window = config.window_samples
+    decimation = max(1, -(-window // config.max_query_samples))
+    queries = rng.uniform(-np.pi, np.pi, (stack, window))[:, ::decimation]
+    banks = [
+        sliding_windows(phases, int(length), config.profile_stride)[:, ::decimation]
+        for length in config.candidate_lengths()
+    ]
+    return queries, banks
+
+
+def _match_one(query, banks):
+    return [batched_dtw_distance(query, bank, None, "circular") for bank in banks]
+
+
+def _match_stacked(queries, banks):
+    return [stacked_dtw_distance(queries, bank, None, "circular") for bank in banks]
 
 
 def _fleet_csi():
@@ -94,6 +141,13 @@ if pytest is not None:
             stacked_dtw_distance, queries, candidates, None, "circular"
         )
         assert result.shape == (STACKED_SMALL[0], STACKED_SMALL[1])
+
+    def test_serve_match_throughput(benchmark):
+        """The matcher's serve shape, eight sessions stacked."""
+        _, config, samples, stack = MATCH_SHAPES[1]
+        queries, banks = _match_inputs(config, samples, stack)
+        result = benchmark(_match_stacked, queries, banks)
+        assert [r.shape for r in result] == [(stack, len(bank)) for bank in banks]
 
     def test_csi_synthesis_throughput(benchmark):
         rng = np.random.default_rng(1)
@@ -128,12 +182,14 @@ def _time(fn, reps: int) -> dict:
         fn()
         samples.append(perf_counter() - start)
     ordered = sorted(samples)
+    q25, q75 = np.percentile(ordered, [25, 75])
     return {
         "reps": reps,
         "best_s": ordered[0],
         "mean_s": sum(samples) / len(samples),
         "p50_s": ordered[len(ordered) // 2],
         "p99_s": ordered[min(len(ordered) - 1, int(len(ordered) * 0.99))],
+        "iqr_s": float(q75 - q25),
     }
 
 
@@ -176,6 +232,26 @@ def collect(reps: int = 30) -> dict:
             "candidate_length": int(candidates.shape[1]),
             "sequential_mean_s": loop["mean_s"],
             "batch_speedup": loop["mean_s"] / stacked["mean_s"],
+        }
+
+    # The matcher's shapes: one session's window against every candidate
+    # length's bank (``match_s1``), eight sessions stacked (``match_s8``)
+    # and the figure config's windows; ``per_session_p50_s`` divides by
+    # the sessions one call serves.
+    for name, config, samples, stack in MATCH_SHAPES:
+        queries, banks = _match_inputs(config, samples, stack)
+        if stack == 1:
+            stats = _time(lambda: _match_one(queries[0], banks), reps)
+        else:
+            stats = _time(lambda: _match_stacked(queries, banks), reps)
+        kernels[name] = {
+            **stats,
+            "sessions": stack,
+            "query_samples": int(queries.shape[1]),
+            "lengths": [int(n) for n in config.candidate_lengths()],
+            "candidates": int(sum(len(bank) for bank in banks)),
+            "profile_samples": samples,
+            "per_session_p50_s": stats["p50_s"] / stack,
         }
 
     rng = np.random.default_rng(1)

@@ -27,9 +27,16 @@ candidate segment of the CSI profile, for a range of candidate lengths
     to looping :func:`batched_dtw_distance` over the sessions (the DP is
     elementwise over the stacked axes).
 
-The DP keeps only the two live anti-diagonals instead of the full
-``(B, m+1, L+1)`` table, so memory scales with the batch times the query
-length rather than their product with the candidate length.
+Both batch kernels share one implementation.  A call builds one cost
+table, ``cost(query[i], x[p])`` for every query sample and every profile
+sample ``p`` its candidate bank covers, instead of a cost per candidate
+cell: the matcher's overlapping sliding windows read the same profile
+samples many times over.  The DP reads every cell from that table through
+zero-copy strided views and keeps only the two live anti-diagonals.
+Memory is the ``(m, span, S)`` table (``span`` is at most ``B*L``
+samples, ~1,400 for a matcher bank) plus three ``(m+1, B, S)`` diagonals;
+nothing scales with ``B*L`` times ``m`` except a bank that has to be
+copied (see :func:`_bank_series`).
 
 Distances are normalised by ``len(a) + len(b)`` so that candidates of
 different lengths compete fairly in the length search.
@@ -150,53 +157,146 @@ def dtw_path(
     return float(dp[m, n] / (m + n)), path
 
 
-def _band_mask_cost(cost: np.ndarray, m: int, length: int, band: int) -> np.ndarray:
-    """Apply the Sakoe-Chiba band to the last two ``(m, L)`` axes of ``cost``."""
+def _within_pi(values: np.ndarray) -> bool:
+    """Whether every value lies in ``[-pi, pi]`` (``False`` on NaN)."""
+    return bool(np.max(np.abs(values)) <= np.pi)
+
+
+def _bank_series(banks: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """The series ``x``, window step ``s`` and decimation ``d`` of a bank.
+
+    ``banks`` has shape ``(S', B, L)``; the result satisfies
+    ``banks[q, b, l] == x[q, b*s + l*d]`` with ``x`` a zero-copy
+    ``(S', span)`` view, ``span = (B-1)*s + (L-1)*d + 1``.  The matcher's
+    banks, ``sliding_windows(phases, L, stride)[:, ::decimation]``, read
+    ``s = stride`` and ``d = decimation`` off their own strides.  Any
+    other bank (negative or part-sample strides, or gaps that make the
+    span longer than ``B*L``) is copied contiguous first.
+    """
+    n_batch, length = banks.shape[1:]
+    item = banks.itemsize
+    # A size-1 axis never steps, whatever stride numpy gave it.
+    strides = [st if n > 1 else 0 for n, st in zip(banks.shape[1:], banks.strides[1:])]
+    if min(strides) >= 0 and not any(st % item for st in strides):
+        step, decimation = (st // item for st in strides)
+        span = (n_batch - 1) * step + (length - 1) * decimation + 1
+        if span <= n_batch * length:
+            series = np.lib.stride_tricks.as_strided(
+                banks,
+                shape=(banks.shape[0], span),
+                strides=(banks.strides[0], item),
+                writeable=False,
+            )
+            return series, step, decimation
+    return _bank_series(np.ascontiguousarray(banks))
+
+
+def _cost_table(queries: np.ndarray, series: np.ndarray, metric: str) -> np.ndarray:
+    """``cost(queries[q, i], series[q', p])`` as an ``(m, span, S)`` table.
+
+    ``series`` is ``(S', span)`` with ``S'`` either ``S`` or 1 (shared).
+    The circular wrap ``mod(y, 2 pi)`` of ``y = a - b + pi`` is one masked
+    subtract and one masked add of ``2 pi`` when every operand lies in
+    ``[-pi, pi]``: then ``y`` is in ``[-pi, 3 pi]``, ``y - 2 pi`` is exact
+    on ``[2 pi, 3 pi]`` (Sterbenz) and ``y + 2 pi`` is the rounding
+    ``np.mod`` itself does below 0, so the table is bit-identical to
+    :func:`_pointwise_cost`.  Other operands (and NaN) take ``np.mod``.
+    """
+    if metric not in _METRICS:
+        raise ValueError(f"metric must be one of {_METRICS}, got {metric!r}")
+    n_stack, m = queries.shape
+    table = np.empty((m, series.shape[1], n_stack), dtype=np.float64)
+    np.subtract(queries.T[:, None, :], series.T[None, :, :], out=table)
+    if metric == "circular":
+        table += np.pi
+        if _within_pi(queries) and _within_pi(series):
+            np.subtract(table, 2.0 * np.pi, out=table, where=table >= 2.0 * np.pi)
+            np.add(table, 2.0 * np.pi, out=table, where=table < 0.0)
+        else:
+            np.mod(table, 2.0 * np.pi, out=table)
+        table -= np.pi
+    return np.abs(table, out=table)
+
+
+def _band_rows(m: int, length: int, band: int) -> tuple[list[int], list[int]]:
+    """Per anti-diagonal ``r + c``, the in-band rows ``[first, stop)``.
+
+    The band test is :func:`dtw_distance`'s, bit for bit.  Along one
+    diagonal ``r * (L/m) - c`` is non-decreasing in ``r``, so its in-band
+    rows are one run; an empty run reads ``first = stop = m``.
+    """
     if band < 0:
         raise ValueError(f"band must be non-negative, got {band}")
     i_idx = np.arange(m)[:, None]
     j_idx = np.arange(length)[None, :]
     # Rescale the diagonal for unequal lengths before applying the band.
-    off_diag = np.abs(i_idx * (length / m) - j_idx)
-    return np.where(off_diag <= band, cost, _INF)
+    rows, cols = np.nonzero(np.abs(i_idx * (length / m) - j_idx) <= band)
+    first = np.full(m + length - 1, m)
+    np.minimum.at(first, rows + cols, rows)
+    stop = first + np.bincount(rows + cols, minlength=m + length - 1)
+    return first.tolist(), stop.tolist()
 
 
-def _antidiagonal_dp(cost: np.ndarray) -> np.ndarray:
-    """Total alignment cost ``dp[m, L]`` over the last two axes of ``cost``.
+def _profile_table_dtw(
+    queries: np.ndarray, banks: np.ndarray, band: int | None, metric: str
+) -> np.ndarray:
+    """Normalised DTW distances ``(S, B)`` of ``queries`` against ``banks``.
 
-    ``cost`` has shape ``(..., m, L)``; leading axes are independent DP
-    problems evaluated elementwise.  Anti-diagonal ``k`` of the classic
-    ``(m+1, L+1)`` table depends only on diagonals ``k-1`` and ``k-2``, so
-    just the two live diagonals are kept (``(..., m+1)`` each) instead of
-    the full table; the python-level loop runs ``m + L - 1`` times and
-    every min/add is vectorised over all leading axes and the whole
-    diagonal at once.
+    ``queries`` is ``(S, m)``; ``banks`` is ``(S', B, L)`` with ``S'`` in
+    ``{1, S}``.  One cost table over the span of profile samples the bank
+    covers replaces a ``(S, B, m, L)`` tensor; cell ``(r, c)`` of
+    candidate ``b`` is ``table[r, b*s + c*d]``.  A skewed ``as_strided``
+    view puts anti-diagonal ``k = r + c`` on its first axis, so each
+    diagonal's step costs are one strided slice ``(rows, B, S)``.  The
+    DP keeps the two live diagonals ``(m+1, B, S)`` with the query axis
+    innermost, and every min/add runs in the classic operand order, so
+    the result is bit-identical to the full-table DP.
     """
-    m, length = cost.shape[-2], cost.shape[-1]
-    lead = cost.shape[:-2]
-    # Diagonal k stored indexed by i (j = k - i); cells off the diagonal
-    # or outside the table stay infeasible, exactly like the full table.
-    prev2 = np.full(lead + (m + 1,), _INF)  # diagonal k-2
-    prev = np.full(lead + (m + 1,), _INF)  # diagonal k-1
-    cur = np.full(lead + (m + 1,), _INF)  # diagonal k (reused)
-    prev2[..., 0] = 0.0  # dp[0, 0]
+    n_stack, m = queries.shape
+    n_batch, length = banks.shape[1:]
+    series, step, decimation = _bank_series(banks)
+    table = _cost_table(queries, series, metric)
+    if band is not None:
+        first, stop = _band_rows(m, length, band)
+    span = table.shape[1]
+    unit = n_stack * table.itemsize
+    # skew[k, r, b, q] = table[r, b*s + (k - r)*d, q].  Every stride is
+    # non-negative and the far corner is the table's last element, so
+    # the view never leaves the table.
+    skew = np.lib.stride_tricks.as_strided(
+        table,
+        shape=(m + length - 1, m, n_batch, n_stack),
+        strides=(decimation * unit, (span - decimation) * unit, step * unit,
+                 table.itemsize),
+        writeable=False,
+    )
+    # Diagonal k of the (m+1, L+1) table stored by row i (j = k - i).
+    # Only rows lo..hi are written, so the edge rows later diagonals read
+    # (dp[0, j] and dp[i, 0]) keep their initial inf; dp[0, 0] is the one
+    # exception and is reset once read.
+    prev2 = np.full((m + 1, n_batch, n_stack), _INF)  # diagonal k-2
+    prev = np.full((m + 1, n_batch, n_stack), _INF)  # diagonal k-1
+    cur = np.full((m + 1, n_batch, n_stack), _INF)  # diagonal k (reused)
+    prev2[0] = 0.0  # dp[0, 0]
     for k in range(2, m + length + 1):
-        cur.fill(_INF)
-        i_lo = max(1, k - length)
-        i_hi = min(m, k - 1)
-        if i_lo <= i_hi:
-            i_arr = np.arange(i_lo, i_hi + 1)
-            j_arr = k - i_arr
-            step_cost = cost[..., i_arr - 1, j_arr - 1]
-            # Same operand order as the full-table DP:
-            # min(dp[i-1, j], min(dp[i, j-1], dp[i-1, j-1])).
-            best = np.minimum(
-                prev[..., i_arr - 1],
-                np.minimum(prev[..., i_arr], prev2[..., i_arr - 1]),
-            )
-            cur[..., i_arr] = step_cost + best
+        lo = max(1, k - length)
+        hi = min(m, k - 1)
+        best = cur[lo : hi + 1]
+        # Same operand order as the full-table DP:
+        # cost + min(dp[i-1, j], min(dp[i, j-1], dp[i-1, j-1])).
+        np.minimum(prev[lo : hi + 1], prev2[lo - 1 : hi], out=best)
+        np.minimum(prev[lo - 1 : hi], best, out=best)
+        if band is None:
+            np.add(skew[k - 2, lo - 1 : hi], best, out=best)
+        else:
+            a, b = first[k - 2], stop[k - 2]
+            np.add(skew[k - 2, a:b], cur[a + 1 : b + 1], out=cur[a + 1 : b + 1])
+            np.add(_INF, cur[lo : a + 1], out=cur[lo : a + 1])
+            np.add(_INF, cur[b + 1 : hi + 1], out=cur[b + 1 : hi + 1])
+        if k == 2:
+            prev2[0] = _INF  # this buffer holds diagonal 3 next
         prev2, prev, cur = prev, cur, prev2
-    return np.asarray(prev[..., m])
+    return np.ascontiguousarray(prev[m].T) / (m + length)
 
 
 def batched_dtw_distance(
@@ -209,10 +309,11 @@ def batched_dtw_distance(
 
     ``query`` has shape ``(m,)``; ``candidates`` has shape ``(B, L)``.
     Returns shape ``(B,)``.  The DP table is evaluated along anti-diagonals
-    (two live diagonals, see :func:`_antidiagonal_dp`) so the per-cell
+    (two live diagonals, see :func:`_profile_table_dtw`) so the per-cell
     min/add work is vectorised over all ``B`` candidates and all cells of
     the diagonal at once; the python-level loop runs only ``m + L - 1``
-    times.
+    times.  A sliding-window bank (the matcher's) costs one profile-sample
+    cost table, not one cost per candidate cell.
 
     :shape query: (m,)
     :shape candidates: (B, L)
@@ -225,15 +326,9 @@ def batched_dtw_distance(
         raise ValueError(
             f"candidates must have shape (B, L) with L > 0, got {candidates.shape}"
         )
-    m = len(query)
-    n_batch, length = candidates.shape
-    if n_batch == 0:
+    if len(candidates) == 0:
         return np.zeros(0)
-
-    cost = _pointwise_cost(query[None, :, None], candidates[:, None, :], metric)
-    if band is not None:
-        cost = _band_mask_cost(cost, m, length, band)
-    return np.asarray(_antidiagonal_dp(cost) / (m + length))
+    return _profile_table_dtw(query[None, :], candidates[None], band, metric)[0]
 
 
 def stacked_dtw_distance(
@@ -253,8 +348,10 @@ def stacked_dtw_distance(
     ``batched_dtw_distance(queries[s], candidates[s], band, metric)``
     because the anti-diagonal DP is elementwise over the stacked axes.
 
-    The cost tensor is ``(S, B, m, L)`` floats; callers stacking very
-    large banks should chunk along ``S`` if memory is a concern.
+    Memory is an ``(m, span, S)`` cost table plus three ``(m+1, B, S)``
+    DP diagonals.  ``span`` is the profile samples a shared
+    sliding-window bank covers (~1,400 at serve shapes, whatever ``B``
+    and ``L``); a bank that has to be copied has ``span = B*L``.
 
     :shape queries: (S, m)
     :shape candidates: (B, L) | (S, B, L)
@@ -283,13 +380,7 @@ def stacked_dtw_distance(
         )
     if banks.shape[-1] == 0:
         raise ValueError(f"candidates must have L > 0, got {candidates.shape}")
-    n_batch, length = banks.shape[-2], banks.shape[-1]
+    n_batch = banks.shape[-2]
     if n_stack == 0 or n_batch == 0:
         return np.zeros((n_stack, n_batch))
-
-    cost = _pointwise_cost(
-        queries[:, None, :, None], banks[:, :, None, :], metric
-    )
-    if band is not None:
-        cost = _band_mask_cost(cost, m, length, band)
-    return np.asarray(_antidiagonal_dp(cost) / (m + length))
+    return _profile_table_dtw(queries, banks, band, metric)

@@ -82,12 +82,13 @@ class BatchPlanner:
     is why the key demands engine interchangeability rather than mere
     similarity.
 
-    ``max_batch`` caps the stack width: the stacked DTW's cost tensor
-    grows linearly with it, and past the CPU cache it turns the kernel
-    memory-bound — ``bench_kernels.py`` measures ~2x for cache-resident
-    stacks vs ~0.9x for spilled ones.  Oversized groups are split into
-    consecutive chunks (rotation order preserved), so correctness never
-    depends on the cap.
+    ``max_batch`` caps the stack width: the stacked DTW's cost table and
+    DP diagonals grow linearly with it, and stacking gains less as each
+    diagonal's work grows — ``bench_kernels.py`` measures ~1.8-1.9x over
+    the per-session loop for a small stack (16 x 40 candidates of 25)
+    and ~0.9-1.0x at the wide serving shape (8 x 150 of 40).  Oversized groups
+    are split into consecutive chunks (rotation order preserved), so
+    correctness never depends on the cap.
 
     In the shape vocabulary of ``repro.units.AXIS_SYMBOLS``: a batched
     group of ``S`` sessions feeds the match stage an ``(S, m)`` query

@@ -210,7 +210,9 @@ class SharedCsiRing:
                         np.array(self._csi[slot], copy=True),
                     )
                 )
-            self._header[_HEAD] = (head + n) % self._slots
+            # An emptied ring restarts at slot 0, so a steady trickle
+            # reuses the same few slots instead of touching all of them.
+            self._header[_HEAD] = (head + n) % self._slots if n < count else 0
             self._header[_COUNT] = count - n
         return records
 

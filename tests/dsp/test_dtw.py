@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dsp.dtw import (
+    _within_pi,
     batched_dtw_distance,
     dtw_distance,
     dtw_path,
     stacked_dtw_distance,
 )
+from repro.dsp.windows import sliding_windows
 
 
 def _full_table_batched_reference(query, candidates, band=None, metric="abs"):
@@ -44,6 +46,33 @@ def _full_table_batched_reference(query, candidates, band=None, metric="abs"):
         )
         dp[:, i_arr, j_arr] = step_cost + best
     return dp[:, m, length] / (m + length)
+
+
+def _phases(rng, size, ties=False):
+    """Wrapped phases; ``ties`` rounds them to 0.1 so costs tie exactly."""
+    values = rng.uniform(-np.pi, np.pi, size)
+    return np.round(values, 1) if ties else values
+
+
+def _bank_kinds(rng, length, ties=False):
+    """One ``(B, L)`` bank of every stride pattern the kernel tells apart:
+    the matcher's sliding-window views (with and without decimation),
+    windows with gaps, reversed and zero-stride views, and copies."""
+    x = _phases(rng, 3 * length + 20, ties)
+    windows = sliding_windows(x, length, 3)
+    return {
+        "contiguous": _phases(rng, (7, length), ties),
+        "sliding": windows,
+        "decimated": sliding_windows(x, 3 * length - 2, 2)[:, ::3],
+        "gapped": sliding_windows(x, length, length + 2),
+        "reversed": windows[::-1],
+        "reversed_samples": windows[:, ::-1],
+        "broadcast": np.broadcast_to(x[:length], (4, length)),
+        "broadcast_sample": np.broadcast_to(x[:5, None], (5, length)),
+        "fortran": np.asfortranarray(_phases(rng, (6, length), ties)),
+        "one_window": windows[:1],
+    }
+
 
 series = st.lists(
     st.floats(min_value=-5, max_value=5, allow_nan=False), min_size=2, max_size=15
@@ -161,6 +190,72 @@ def test_two_diagonal_dp_bit_identical_to_full_table(band, metric):
     got = batched_dtw_distance(query, candidates, band=band, metric=metric)
     want = _full_table_batched_reference(query, candidates, band=band, metric=metric)
     np.testing.assert_array_equal(got, want)
+    # Every bank layout, with and without exact ties.
+    for ties in (False, True):
+        q = _phases(rng, 13, ties)
+        for name, bank in _bank_kinds(rng, 21, ties).items():
+            got = batched_dtw_distance(q, bank, band=band, metric=metric)
+            want = _full_table_batched_reference(q, bank, band=band, metric=metric)
+            assert np.array_equal(got, want), (name, ties)
+
+
+@given(
+    m=st.integers(1, 12),
+    length=st.integers(1, 12),
+    extra=st.integers(0, 40),
+    stride=st.integers(1, 16),
+    decimation=st.integers(1, 4),
+    band=st.one_of(st.none(), st.integers(0, 6)),
+    metric=st.sampled_from(["abs", "circular"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_matcher_banks_bit_identical(
+    m, length, extra, stride, decimation, band, metric, seed
+):
+    """``sliding_windows(phases, L, stride)[:, ::decimation]`` banks, as
+    the matcher builds them, over every stride and decimation."""
+    rng = np.random.default_rng(seed)
+    phases = _phases(rng, length + extra, ties=seed % 2 == 0)
+    bank = sliding_windows(phases, length, stride)[:, ::decimation]
+    queries = _phases(rng, (3, m))
+    want = _full_table_batched_reference(queries[0], bank, band, metric)
+    assert np.array_equal(batched_dtw_distance(queries[0], bank, band, metric), want)
+    stacked = stacked_dtw_distance(queries, bank, band, metric)
+    assert np.array_equal(stacked[0], want)
+    for s in (1, 2):
+        assert np.array_equal(
+            stacked[s], batched_dtw_distance(queries[s], bank, band, metric)
+        )
+
+
+_PI_ULP_INSIDE = np.nextafter(np.pi, 0.0)
+
+
+@pytest.mark.parametrize(
+    "values, fast",
+    [
+        ([np.pi, -np.pi, 0.0], True),
+        ([_PI_ULP_INSIDE, -_PI_ULP_INSIDE, np.pi], True),
+        ([np.nextafter(np.pi, 4.0), 0.0], False),
+        ([-3.5, 7.0, 2.0 * np.pi], False),
+        ([np.nan, 0.0], False),
+    ],
+)
+def test_circular_wrap_bit_identical_on_both_sides_of_fast_path(values, fast):
+    """Operands at exactly +-pi, one ulp inside, outside, and NaN: the
+    masked wrap runs only inside [-pi, pi] and matches ``np.mod``."""
+    assert _within_pi(np.array(values)) is fast
+    rng = np.random.default_rng(31)
+    edge = np.array(values)
+    seam = np.array([np.pi, -np.pi, _PI_ULP_INSIDE, -_PI_ULP_INSIDE])
+    query = rng.permutation(np.concatenate([edge, seam, _phases(rng, 5)]))
+    bank = sliding_windows(np.concatenate([seam, _phases(rng, 30), seam]), 9, 2)
+    for band in (None, 2):
+        for q, b in ((query, bank), (_phases(rng, 8), rng.permutation(query)[None])):
+            got = batched_dtw_distance(q, b, band=band, metric="circular")
+            want = _full_table_batched_reference(q, b, band=band, metric="circular")
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_two_diagonal_dp_degenerate_shapes():
@@ -190,6 +285,25 @@ def test_stacked_bit_identical_to_batched_loop(band, metric):
         ]
     )
     np.testing.assert_array_equal(got, want)
+    # Shared and per-query banks of every layout, with exact ties.
+    for ties in (False, True):
+        queries = _phases(rng, (4, 12), ties)
+        for name, bank in _bank_kinds(rng, 25, ties).items():
+            per_query = np.stack([bank[::-1], bank, bank[:, ::-1], bank])
+            for stack in (bank, per_query, np.broadcast_to(bank, (4,) + bank.shape)):
+                got = stacked_dtw_distance(queries, stack, band=band, metric=metric)
+                rows = stack if stack.ndim == 3 else [stack] * 4
+                want = np.stack(
+                    [
+                        batched_dtw_distance(q, b, band=band, metric=metric)
+                        for q, b in zip(queries, rows)
+                    ]
+                )
+                assert np.array_equal(got, want), (name, ties, stack.ndim)
+                assert np.array_equal(
+                    got[1],
+                    _full_table_batched_reference(queries[1], rows[1], band, metric),
+                ), (name, ties)
 
 
 def test_stacked_shared_bank_bit_identical():
@@ -263,6 +377,29 @@ def test_stacked_degenerate_axis_sizes():
     thin = rng.uniform(-1, 1, (4, 1))
     out = stacked_dtw_distance(queries, thin)
     assert out.shape == (3, 4)
+    # Every axis at size 1 on strided banks, with the band, both metrics
+    # and exact ties, against the loop and the full-table reference.
+    x = _phases(rng, 40, ties=True)
+    for m, length, n_batch in [(1, 6, 5), (6, 1, 5), (6, 6, 1), (1, 1, 1)]:
+        views = (
+            sliding_windows(x, length, 3)[:n_batch],
+            sliding_windows(x, 2 * length, 2)[:n_batch, ::2],
+            sliding_windows(x, length, 3)[:n_batch][::-1, ::-1],
+        )
+        for bank in views:
+            for n_stack in (1, 3):
+                qs = _phases(rng, (n_stack, m), ties=True)
+                for band in (None, 0, 2):
+                    for metric in ("abs", "circular"):
+                        out = stacked_dtw_distance(qs, bank, band, metric)
+                        assert out.shape == (n_stack, n_batch)
+                        for s in range(n_stack):
+                            want = batched_dtw_distance(qs[s], bank, band, metric)
+                            assert np.array_equal(out[s], want)
+                            assert np.array_equal(
+                                want,
+                                _full_table_batched_reference(qs[s], bank, band, metric),
+                            )
 
 
 def test_stacked_ragged_bank_rejected():

@@ -82,6 +82,23 @@ def test_partial_drain_quota() -> None:
         ring.close()
 
 
+def test_emptied_ring_restarts_at_slot_zero() -> None:
+    # A full drain resets the head, so the next packet lands in slot 0
+    # rather than walking every slot of the ring over time.
+    ring = SharedCsiRing(8, SHAPE)
+    try:
+        ring.push("a", 1.0, _packet(1))
+        assert [r.time for r in ring.drain()] == [1.0]
+        assert ring.push("b", 2.0, _packet(2))
+        assert ring._times[0] == 2.0
+        np.testing.assert_array_equal(ring._csi[0], _packet(2))
+        assert len(ring) == 1
+        assert ring.pushed_total == 2 and ring.dropped_total == 0
+        assert [r.session_id for r in ring.drain()] == ["b"]
+    finally:
+        ring.close()
+
+
 def test_wraparound_many_times() -> None:
     ring = SharedCsiRing(3, SHAPE)
     try:
