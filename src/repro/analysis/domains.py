@@ -18,6 +18,7 @@ import ast
 import re
 from dataclasses import dataclass
 
+from repro.analysis.dtypes import _annotated_name
 from repro.units import (
     DEG,
     DOMAIN_NAMES,
@@ -203,32 +204,7 @@ def domain_from_annotation(annotation: ast.expr | None) -> str | None:
     final attribute matches (``typing.Annotated``, ``t.Annotated``, a
     bare ``Annotated``).  Returns the domain name or None.
     """
-    if annotation is None or not isinstance(annotation, ast.Subscript):
-        return None
-    if _final_name(annotation.value) != "Annotated":
-        return None
-    inner = annotation.slice
-    metadata = inner.elts[1:] if isinstance(inner, ast.Tuple) else []
-    for meta in metadata:
-        if (
-            isinstance(meta, ast.Call)
-            and _final_name(meta.func) == "Domain"
-            and meta.args
-            and isinstance(meta.args[0], ast.Constant)
-            and isinstance(meta.args[0].value, str)
-        ):
-            name = meta.args[0].value
-            if name in DOMAIN_NAMES:
-                return name
-    return None
-
-
-def _final_name(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
+    return _annotated_name(annotation, "Domain", DOMAIN_NAMES)
 
 
 def declared_domains_of(

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import ast
 import re
+from collections.abc import Collection, Iterator
 
 from repro.units import DTYPE_NAMES
 
@@ -118,34 +119,53 @@ def promote(a: str | None, b: str | None) -> str | None:
     return None
 
 
-def dtype_from_annotation(annotation: ast.expr | None) -> str | None:
-    """Extract ``DType("...")`` from an ``Annotated[...]`` expression."""
-    if annotation is None or not isinstance(annotation, ast.Subscript):
-        return None
-    if _final_name(annotation.value) != "Annotated":
-        return None
-    inner = annotation.slice
-    metadata = inner.elts[1:] if isinstance(inner, ast.Tuple) else []
-    for meta in metadata:
-        if (
-            isinstance(meta, ast.Call)
-            and _final_name(meta.func) == "DType"
-            and meta.args
-            and isinstance(meta.args[0], ast.Constant)
-            and isinstance(meta.args[0].value, str)
-        ):
-            name = meta.args[0].value
-            if name in DTYPE_NAMES:
-                return name
-    return None
-
-
 def _final_name(node: ast.expr) -> str | None:
     if isinstance(node, ast.Attribute):
         return node.attr
     if isinstance(node, ast.Name):
         return node.id
     return None
+
+
+def _annotated_markers(
+    annotation: ast.expr | None, marker: str
+) -> Iterator[list[ast.expr]]:
+    """Argument lists of the ``marker(...)`` calls in ``Annotated[...]``.
+
+    Matches syntactically: ``Annotated`` and the marker under any import
+    spelling whose final attribute matches (``typing.Annotated``,
+    ``t.Annotated``, a bare ``Annotated``).  The one reader behind the
+    ``DType``, ``Domain`` and ``Shape`` annotation parsers.
+    """
+    if not isinstance(annotation, ast.Subscript):
+        return
+    if _final_name(annotation.value) != "Annotated":
+        return
+    inner = annotation.slice
+    for meta in inner.elts[1:] if isinstance(inner, ast.Tuple) else ():
+        if isinstance(meta, ast.Call) and _final_name(meta.func) == marker:
+            yield meta.args
+
+
+def _annotated_name(
+    annotation: ast.expr | None, marker: str, names: Collection[str]
+) -> str | None:
+    """The first ``marker("name")`` in ``Annotated[...]`` naming one of
+    ``names``, or None."""
+    for args in _annotated_markers(annotation, marker):
+        first = args[0] if args else None
+        if (
+            isinstance(first, ast.Constant)
+            and isinstance(first.value, str)
+            and first.value in names
+        ):
+            return first.value
+    return None
+
+
+def dtype_from_annotation(annotation: ast.expr | None) -> str | None:
+    """Extract ``DType("...")`` from an ``Annotated[...]`` expression."""
+    return _annotated_name(annotation, "DType", DTYPE_NAMES)
 
 
 def dtype_from_expr(node: ast.expr | None) -> str | None:

@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING
 from repro.analysis.dtypes import (
     CAST_CALLS,
     REAL_OF_COMPLEX,
+    _annotated_markers,
     dtype_from_expr,
     dtype_kind,
     is_silent_downcast,
@@ -116,32 +117,14 @@ def shape_from_annotation(
     annotation: ast.expr | None,
 ) -> "tuple[str | int, ...] | None":
     """Extract ``Shape("S", "m")`` from an ``Annotated[...]`` expression."""
-    if annotation is None or not isinstance(annotation, ast.Subscript):
-        return None
-    if _final_name(annotation.value) != "Annotated":
-        return None
-    inner = annotation.slice
-    metadata = inner.elts[1:] if isinstance(inner, ast.Tuple) else []
-    for meta in metadata:
-        if isinstance(meta, ast.Call) and _final_name(meta.func) == "Shape":
-            tokens: list[str | int] = []
-            for arg in meta.args:
-                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                    tokens.append(arg.value)
-                elif isinstance(arg, ast.Constant) and isinstance(arg.value, int):
-                    tokens.append(arg.value)
-                else:
-                    break
-            else:
-                return tuple(tokens)
-    return None
-
-
-def _final_name(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
+    for args in _annotated_markers(annotation, "Shape"):
+        tokens = [
+            arg.value
+            for arg in args
+            if isinstance(arg, ast.Constant) and isinstance(arg.value, (str, int))
+        ]
+        if len(tokens) == len(args):
+            return tuple(tokens)
     return None
 
 

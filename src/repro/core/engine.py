@@ -15,6 +15,12 @@ frontends differ only in how they feed the context:
 * ``OnlineTracker`` views its ring buffers and calls ``estimate_at``,
 * ``FusedTracker`` runs ``track_stream`` and fuses camera frames on top.
 
+One interpreter runs the chain.  :meth:`EstimationEngine.estimate_batch`
+drives many sessions through it a stage wave at a time (batch-aware
+stages stack their wave into one kernel call), and
+:meth:`EstimationEngine.estimate_at` is the same interpreter on a wave
+of one, so a sequential poll and a stacked group cannot disagree.
+
 Every estimate the engine produces carries an
 :class:`~repro.core.stages.EstimationTrace`: which stages ran, which
 fired, how long each took, and the key quantities they saw.
@@ -94,11 +100,11 @@ class BatchResult:
     Attributes:
         estimate: the estimate produced (``None`` when the chain formed
             none — same meaning as :meth:`estimate_at` returning None).
-        error: the contained exception when this item's chain raised;
-            mirrors what the sequential path would have raised out of
-            :meth:`estimate_at`, so callers apply the same fault
-            handling either way.  ``estimate`` is always ``None`` when
-            set, and the session state was not advanced.
+        error: the contained exception when this item's chain raised —
+            the exception :meth:`estimate_at` re-raises for a one-item
+            call, so callers apply the same fault handling either way.
+            ``estimate`` is always ``None`` when set, and the session
+            state was not advanced.
     """
 
     estimate: Estimate | None = None
@@ -219,7 +225,7 @@ class EstimationEngine:
         )
 
     # ------------------------------------------------------------------
-    # One estimate
+    # Estimation: one interpreter, a single estimate is a wave of one
     # ------------------------------------------------------------------
     def estimate_at(
         self,
@@ -229,6 +235,9 @@ class EstimationEngine:
         state: SessionState,
     ) -> Estimate | None:
         """Run the chain once at time ``t`` and update ``state``.
+
+        The one-item case of :meth:`estimate_batch`: the same wave
+        interpreter runs, and the item's contained error is re-raised.
 
         Args:
             phase: the sanitized phase history covering at least the
@@ -243,79 +252,28 @@ class EstimationEngine:
             The estimate (with its trace attached), or ``None`` when no
             estimate can be formed at ``t``.
         """
-        ctx = EstimationContext(
-            phase=phase,
-            imu=imu,
-            t=float(t),
-            position=state.position,
-            default_position=self._default_position,
-            previous=state.previous,
-            last_confident_time=state.last_confident_time,
-            horizon_s=self._config.horizon_s,
-        )
-        estimate = self._run_chain(ctx)
-        if estimate is not None:
-            state.observe(estimate)
-        return estimate
+        (result,) = self._run_waves([BatchItem(phase, imu, t, state)])
+        if result.error is not None:
+            raise result.error
+        return result.estimate
 
-    def _run_chain(self, ctx: EstimationContext) -> Estimate | None:
-        traces: list[StageTrace] = []
-
-        def timed(stage: Stage) -> StageDecision:
-            start = self._wall_clock()
-            decision = stage.run(ctx)
-            elapsed_ms = (self._wall_clock() - start) * 1e3
-            traces.append(
-                StageTrace(stage.name, decision.fired, elapsed_ms, decision.detail)
-            )
-            return decision
-
-        estimate: Estimate | None = None
-        terminal = ""
-        emit_index = len(self._stages) - 1
-        index = 0
-        while index < len(self._stages):
-            stage = self._stages[index]
-            decision = timed(stage)
-            if decision.action == PASS:
-                index += 1
-                continue
-            if decision.action == RESOLVE:
-                index = emit_index
-                continue
-            if decision.action == HOLD:
-                ctx.hold_reason = stage.name
-                hold_decision = timed(self._hold)
-                estimate = hold_decision.estimate
-                terminal = self._hold.name
-                break
-            assert decision.action == EMIT
-            estimate = decision.estimate
-            terminal = stage.name
-            break
-        if estimate is None:
-            return None
-        return replace(estimate, trace=EstimationTrace(tuple(traces), terminal))
-
-    # ------------------------------------------------------------------
-    # Fleet-batched estimation
-    # ------------------------------------------------------------------
     def estimate_batch(self, items: Sequence[BatchItem]) -> list[BatchResult]:
         """Drive many sessions through the chain, one stage wave at a time.
 
         All contexts currently at the same stage are dispatched together
-        through :meth:`Stage.run_batch`; batch-aware stages (the DTW
-        match) turn the wave into one stacked kernel call, the rest loop
-        per context.  Per-context decisions, stage order and state
-        updates are exactly the sequential path's, so the estimates are
-        bit-identical to calling :meth:`estimate_at` item by item (only
-        trace *timings* differ: a stacked stage's elapsed wall time is
-        split evenly across its wave, and timing is excluded from
-        estimate equality).
+        through :meth:`Stage.run_batch`; batch-aware stages (sanitize,
+        stationary, the DTW match) turn the wave into stacked kernel
+        calls, the rest loop per context.  A wave of one runs
+        :meth:`Stage.run` exactly as :meth:`estimate_at` does, and the
+        batch-aware stages are pinned bit-identical to looping
+        :meth:`Stage.run`, so the estimates equal calling
+        :meth:`estimate_at` item by item (only trace *timings* differ: a
+        stacked stage's elapsed wall time is split evenly across its
+        wave, and timing is excluded from estimate equality).
 
         Error containment: a per-context stage exception becomes that
         item's :attr:`BatchResult.error` without touching its session
-        state — the exception the sequential path would have raised.  A
+        state — the exception :meth:`estimate_at` would raise.  A
         stacked stage call failing maps its error to every context in
         the wave; that failure is systematic, because a batch-aware
         stage only ever sees contexts sharing profile, config and query
@@ -331,125 +289,90 @@ class EstimationEngine:
         a batch-aware stage never reads the config fields grouping
         allows to differ (the planner's contract).
         """
-        n = len(items)
-        results = [BatchResult() for _ in range(n)]
-        engines = [
-            item.engine if item.engine is not None else self for item in items
-        ]
+        return self._run_waves(items)
+
+    def _run_waves(self, items: Sequence[BatchItem]) -> list[BatchResult]:
+        """The chain interpreter behind both public estimate calls.
+
+        Stage indices only move forward (PASS: +1, RESOLVE: jump to
+        emit), so one sweep over the chain visits every context at every
+        stage it reaches; the contexts at one stage form its wave.  A
+        HOLD runs the item's own hold terminal at once, and an EMIT (the
+        hold's included) ends the chain.  Both public calls come here
+        (rather than one calling the other) so that a tracer wrapping
+        them sees one span per call.
+        """
+        clock = self._wall_clock
+        n_stages = len(self._stages)
+        engines = [self if item.engine is None else item.engine for item in items]
         ctxs = [
             EstimationContext(
                 phase=item.phase,
                 imu=item.imu,
                 t=float(item.t),
                 position=item.state.position,
-                default_position=engines[i]._default_position,
+                default_position=engine._default_position,
                 previous=item.state.previous,
                 last_confident_time=item.state.last_confident_time,
-                horizon_s=engines[i]._config.horizon_s,
+                horizon_s=engine._config.horizon_s,
             )
-            for i, item in enumerate(items)
+            for item, engine in zip(items, engines)
         ]
-        traces: list[list[StageTrace]] = [[] for _ in range(n)]
-        terminals = [""] * n
-        estimates: list[Estimate | None] = [None] * n
-        emit_index = len(self._stages) - 1
-        stage_index = [0] * n
-        done = [False] * n
+        results = [BatchResult() for _ in items]
+        traces: list[list[StageTrace]] = [[] for _ in items]
+        # Each context's next stage index; ``n_stages`` once finished.
+        at = [0] * len(items)
 
-        def finish_hold(i: int) -> None:
-            # Mirror _run_chain's HOLD branch for one context, through
-            # the item's own engine (its hold carries its own horizon).
-            hold = engines[i]._hold
-            start = self._wall_clock()
+        def step(i: int, si: int, stage: Stage) -> None:
+            """Run one context through one stage; contain what it raises."""
+            start = clock()
             try:
-                hold_decision = hold.run(ctxs[i])
+                decision = stage.run(ctxs[i])
             except Exception as exc:
                 results[i].error = exc
-                done[i] = True
+                at[i] = n_stages
                 return
-            elapsed_ms = (self._wall_clock() - start) * 1e3
-            traces[i].append(
-                StageTrace(
-                    hold.name,
-                    hold_decision.fired,
-                    elapsed_ms,
-                    hold_decision.detail,
-                )
-            )
-            estimates[i] = hold_decision.estimate
-            terminals[i] = hold.name
-            done[i] = True
+            follow(i, si, stage, decision, (clock() - start) * 1e3)
 
-        def apply(i: int, stage: Stage, si: int, decision: StageDecision) -> None:
+        def follow(
+            i: int, si: int, stage: Stage, decision: StageDecision, ms: float
+        ) -> None:
+            traces[i].append(StageTrace(stage.name, decision.fired, ms, decision.detail))
             if decision.action == PASS:
-                stage_index[i] = si + 1
+                at[i] = si + 1
             elif decision.action == RESOLVE:
-                stage_index[i] = emit_index
+                at[i] = n_stages - 1
             elif decision.action == HOLD:
                 ctxs[i].hold_reason = stage.name
-                finish_hold(i)
+                step(i, si, engines[i]._hold)  # the hold terminal always emits
             else:
                 assert decision.action == EMIT
-                estimates[i] = decision.estimate
-                terminals[i] = stage.name
-                done[i] = True
+                at[i] = n_stages
+                estimate = decision.estimate
+                if estimate is not None:
+                    estimate = replace(
+                        estimate, trace=EstimationTrace(tuple(traces[i]), stage.name)
+                    )
+                    items[i].state.observe(estimate)
+                    results[i].estimate = estimate
 
-        # Stage indices only ever move forward (PASS: +1, RESOLVE: jump
-        # to emit), so one sweep over the chain visits every context at
-        # every stage it would have reached sequentially.
         for si, stage in enumerate(self._stages):
-            wave = [i for i in range(n) if not done[i] and stage_index[i] == si]
-            if not wave:
-                continue
+            wave = [i for i, next_stage in enumerate(at) if next_stage == si]
             if stage.batch_aware and len(wave) > 1:
-                start = self._wall_clock()
+                start = clock()
                 try:
                     decisions = stage.run_batch([ctxs[i] for i in wave])
                 except Exception as exc:
                     for i in wave:
                         results[i].error = exc
-                        done[i] = True
+                        at[i] = n_stages
                     continue
-                elapsed_ms = (self._wall_clock() - start) * 1e3 / len(wave)
+                ms = (clock() - start) * 1e3 / len(wave)
                 for i, decision in zip(wave, decisions):
-                    traces[i].append(
-                        StageTrace(
-                            stage.name, decision.fired, elapsed_ms, decision.detail
-                        )
-                    )
-                    apply(i, stage, si, decision)
+                    follow(i, si, stage, decision, ms)
             else:
                 for i in wave:
-                    own_stage = engines[i]._stages[si]
-                    start = self._wall_clock()
-                    try:
-                        decision = own_stage.run(ctxs[i])
-                    except Exception as exc:
-                        results[i].error = exc
-                        done[i] = True
-                        continue
-                    elapsed_ms = (self._wall_clock() - start) * 1e3
-                    traces[i].append(
-                        StageTrace(
-                            own_stage.name,
-                            decision.fired,
-                            elapsed_ms,
-                            decision.detail,
-                        )
-                    )
-                    apply(i, own_stage, si, decision)
-
-        for i, item in enumerate(items):
-            if results[i].error is not None:
-                continue
-            estimate = estimates[i]
-            if estimate is None:
-                continue
-            estimate = replace(
-                estimate, trace=EstimationTrace(tuple(traces[i]), terminals[i])
-            )
-            item.state.observe(estimate)
-            results[i].estimate = estimate
+                    step(i, si, engines[i]._stages[si])
         return results
 
     # ------------------------------------------------------------------

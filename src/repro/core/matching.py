@@ -8,7 +8,9 @@ is non-injective), so ViHOT matches the whole windowed phase series
 1. enumerate candidate match lengths ``L_n in [0.5 W, 2 W]`` (the head may
    have turned faster or slower than during profiling);
 2. for each length, DTW-match ``Phi_r`` against every profile segment of
-   that length (vectorised in one ``batched_dtw_distance`` call);
+   that length (vectorised in one ``stacked_dtw_distance`` call, which
+   also stacks the same-shape windows of a fleet; one window is a stack
+   of one);
 3. take the globally best segment ``Phi*_m``; its last sample's
    ground-truth orientation is the estimate, and ``L_m / W`` is the
    profiling-to-runtime speed ratio the forecaster reuses (Sec. 3.4.6).
@@ -23,8 +25,8 @@ import math
 import numpy as np
 
 from repro.core.config import ViHOTConfig
-from repro.core.profile import CsiProfile, PositionProfile
-from repro.dsp.dtw import batched_dtw_distance, stacked_dtw_distance
+from repro.core.profile import CsiProfile
+from repro.dsp.dtw import stacked_dtw_distance
 from repro.dsp.phase import wrap_phase
 from repro.dsp.windows import sliding_windows
 
@@ -70,72 +72,115 @@ class SeriesMatcher:
     def config(self) -> ViHOTConfig:
         return self._config
 
-    def _match_position(
-        self,
-        query: np.ndarray,
-        position: PositionProfile,
-        position_index: int,
-        center_orientation: float | None,
-        tolerance_rad: float,
-    ):
-        """Best matches of ``query`` within one position's profile series.
+    def _wrapped_query(self, query: np.ndarray) -> np.ndarray:
+        """``query`` as wrapped float64 phases, validated.
 
-        Returns ``(best_global, best_feasible)`` where ``best_feasible``
-        honours the continuity constraint (``None`` when nothing is
-        feasible) and ``best_global`` is the unconstrained winner.
-
-        :domain query: wrapped_rad
-        :domain center_orientation: rad
-        :domain tolerance_rad: rad
+        :domain query: rad
+        :domain return: wrapped_rad
         :shape query: (m,)
+        :shape return: (m,)
+        """
+        wrapped = wrap_phase(np.asarray(query, dtype=np.float64))
+        if wrapped.ndim != 1 or len(wrapped) < 2:
+            raise ValueError("query must be a 1-D array with >= 2 samples")
+        return wrapped
+
+    def _check_position(self, position_index: int) -> None:
+        if not 0 <= position_index < len(self._profile):
+            raise ValueError(
+                f"position_index {position_index} out of range "
+                f"[0, {len(self._profile)})"
+            )
+
+    def _match_group(
+        self,
+        queries: np.ndarray,
+        position_index: int,
+        centers: Sequence[float | None],
+        tolerances: Sequence[float],
+    ) -> list[MatchResult]:
+        """Alg. 1 for ``S`` same-length queries at one estimated position.
+
+        Every neighbour position and candidate length costs one
+        :func:`stacked_dtw_distance` call over the whole group; the
+        selection then runs per query: the first lowest distance over
+        positions, lengths and offsets (in that order) wins, a query
+        with a continuity prior keeps the best feasible candidate, and
+        the unconstrained winner replaces that one when its distance is
+        below ``config.escape_ratio`` times the feasible distance.  A
+        single query is a group of one.
+
+        :domain queries: wrapped_rad
+        :domain centers: rad
+        :domain tolerances: rad
+        :shape queries: (S, m)
         """
         config = self._config
-        phases = position.phases
+        n_stack, m = queries.shape
         # Long windows are decimated (query and candidates alike) so DTW
         # cost stays bounded; the matched time span is unchanged.
-        decimation = max(1, -(-len(query) // config.max_query_samples))
-        decimated_query = query[::decimation]
-        best_global = None
-        best_feasible = None
-        for length in config.candidate_lengths():
-            if length > len(phases):
-                continue
-            candidates = sliding_windows(phases, int(length), config.profile_stride)
-            ends = (
-                np.arange(len(candidates)) * config.profile_stride + int(length) - 1
-            )
-            distances = batched_dtw_distance(
-                decimated_query,
-                candidates[:, ::decimation],
-                band=config.dtw_band,
-                metric="circular",
-            )
-
-            def make_result(k: int) -> MatchResult:
-                end = int(ends[k])
-                return MatchResult(
-                    orientation=float(position.orientations[end]),
-                    distance=float(distances[k]),
-                    position_index=position_index,
-                    start_index=end - int(length) + 1,
-                    length=int(length),
-                    speed_ratio=float(length) / len(query),
+        decimation = max(1, -(-m // config.max_query_samples))
+        decimated = queries[:, ::decimation]
+        best_global: list[MatchResult | None] = [None] * n_stack
+        best_feasible: list[MatchResult | None] = [None] * n_stack
+        lo = max(0, position_index - config.neighbor_positions)
+        hi = min(len(self._profile), position_index + config.neighbor_positions + 1)
+        for index in range(lo, hi):
+            position = self._profile[index]
+            for length in config.candidate_lengths():
+                if length > len(position.phases):
+                    continue
+                candidates = sliding_windows(
+                    position.phases, int(length), config.profile_stride
                 )
-
-            k = int(np.argmin(distances))
-            if best_global is None or distances[k] < best_global.distance:
-                best_global = make_result(k)
-            if center_orientation is not None:
-                feasible = (
-                    np.abs(position.orientations[ends] - center_orientation)
-                    <= tolerance_rad
+                ends = (
+                    np.arange(len(candidates)) * config.profile_stride + int(length) - 1
                 )
-                if np.any(feasible):
-                    masked = np.where(feasible, distances, np.inf)
-                    k = int(np.argmin(masked))
-                    if best_feasible is None or masked[k] < best_feasible.distance:
-                        best_feasible = make_result(k)
-        return best_global, best_feasible
+                distances = stacked_dtw_distance(
+                    decimated,
+                    candidates[:, ::decimation],
+                    band=config.dtw_band,
+                    metric="circular",
+                )
+                orientations = position.orientations[ends]
+                for s, row in enumerate(distances):
+                    # The unconstrained and the continuity-feasible
+                    # winners share one selection rule.
+                    selections = [(best_global, row)]
+                    center = centers[s]
+                    if center is not None:
+                        feasible = np.abs(orientations - center) <= tolerances[s]
+                        if np.any(feasible):
+                            selections.append(
+                                (best_feasible, np.where(feasible, row, np.inf))
+                            )
+                    for best, scored in selections:
+                        k = int(np.argmin(scored))
+                        current = best[s]
+                        if current is None or scored[k] < current.distance:
+                            best[s] = MatchResult(
+                                orientation=float(orientations[k]),
+                                distance=float(row[k]),
+                                position_index=index,
+                                start_index=int(ends[k]) - int(length) + 1,
+                                length=int(length),
+                                speed_ratio=float(length) / m,
+                            )
+        results: list[MatchResult] = []
+        for found, feasible_found in zip(best_global, best_feasible):
+            if found is None:
+                raise ValueError(
+                    "every profiled position is shorter than every candidate "
+                    "match length"
+                )
+            if (
+                feasible_found is None
+                or found.distance < config.escape_ratio * feasible_found.distance
+            ):
+                results.append(found)
+            else:
+                results.append(feasible_found)
+        return results
 
     def match(
         self,
@@ -168,113 +213,11 @@ class SeriesMatcher:
         :domain tolerance_rad: rad
         :shape query: (m,)
         """
-        query = wrap_phase(np.asarray(query, dtype=np.float64))
-        if query.ndim != 1 or len(query) < 2:
-            raise ValueError("query must be a 1-D array with >= 2 samples")
-        if not 0 <= position_index < len(self._profile):
-            raise ValueError(
-                f"position_index {position_index} out of range "
-                f"[0, {len(self._profile)})"
-            )
-        lo = max(0, position_index - self._config.neighbor_positions)
-        hi = min(len(self._profile), position_index + self._config.neighbor_positions + 1)
-        globals_, feasibles = [], []
-        for i in range(lo, hi):
-            best_global, best_feasible = self._match_position(
-                query, self._profile[i], i, center_orientation, tolerance_rad
-            )
-            if best_global is not None:
-                globals_.append(best_global)
-            if best_feasible is not None:
-                feasibles.append(best_feasible)
-        if not globals_:
-            raise ValueError(
-                "every profiled position is shorter than every candidate "
-                "match length"
-            )
-        best_global = min(globals_, key=lambda r: r.distance)
-        if not feasibles:
-            return best_global
-        best_feasible = min(feasibles, key=lambda r: r.distance)
-        if best_global.distance < self._config.escape_ratio * best_feasible.distance:
-            return best_global
-        return best_feasible
-
-    # ------------------------------------------------------------------
-    # Fleet-batched matching
-    # ------------------------------------------------------------------
-    def _match_position_many(
-        self,
-        queries: np.ndarray,
-        position: PositionProfile,
-        position_index: int,
-        centers: list[float | None],
-        tolerances: list[float],
-    ) -> tuple[list[MatchResult | None], list[MatchResult | None]]:
-        """Stacked :meth:`_match_position`: ``S`` same-length queries
-        against one position's profile series in one DTW pass per
-        candidate length.
-
-        ``queries`` has shape ``(S, m)`` (wrapped phases).  Returns the
-        per-query ``(best_global, best_feasible)`` lists.  Bit-identical
-        to looping :meth:`_match_position` because
-        :func:`stacked_dtw_distance` row ``s`` is pinned identical to
-        the per-query :func:`batched_dtw_distance` call and the
-        argmin/feasibility logic is reproduced verbatim.
-
-        :shape queries: (S, m)
-        """
-        config = self._config
-        phases = position.phases
-        n_stack, m = queries.shape
-        decimation = max(1, -(-m // config.max_query_samples))
-        decimated = queries[:, ::decimation]
-        best_globals: list[MatchResult | None] = [None] * n_stack
-        best_feasibles: list[MatchResult | None] = [None] * n_stack
-        for length in config.candidate_lengths():
-            if length > len(phases):
-                continue
-            candidates = sliding_windows(phases, int(length), config.profile_stride)
-            ends = (
-                np.arange(len(candidates)) * config.profile_stride + int(length) - 1
-            )
-            distances = stacked_dtw_distance(
-                decimated,
-                candidates[:, ::decimation],
-                band=config.dtw_band,
-                metric="circular",
-            )
-            for s in range(n_stack):
-                row = distances[s]
-
-                def make_result(k: int) -> MatchResult:
-                    end = int(ends[k])
-                    return MatchResult(
-                        orientation=float(position.orientations[end]),
-                        distance=float(row[k]),
-                        position_index=position_index,
-                        start_index=end - int(length) + 1,
-                        length=int(length),
-                        speed_ratio=float(length) / m,
-                    )
-
-                k = int(np.argmin(row))
-                best_global = best_globals[s]
-                if best_global is None or row[k] < best_global.distance:
-                    best_globals[s] = make_result(k)
-                center = centers[s]
-                if center is not None:
-                    feasible = (
-                        np.abs(position.orientations[ends] - center)
-                        <= tolerances[s]
-                    )
-                    if np.any(feasible):
-                        masked = np.where(feasible, row, np.inf)
-                        k = int(np.argmin(masked))
-                        best_feasible = best_feasibles[s]
-                        if best_feasible is None or masked[k] < best_feasible.distance:
-                            best_feasibles[s] = make_result(k)
-        return best_globals, best_feasibles
+        wrapped = self._wrapped_query(query)
+        self._check_position(position_index)
+        return self._match_group(
+            wrapped[None, :], position_index, [center_orientation], [tolerance_rad]
+        )[0]
 
     def match_many(
         self,
@@ -285,11 +228,10 @@ class SeriesMatcher:
     ) -> list[MatchResult]:
         """Batched :meth:`match` over many sessions' windows (Alg. 1 × S).
 
-        Queries are grouped by ``(length, position_index)``; each
-        group's DTW work runs as one stacked anti-diagonal DP per
-        candidate length (:func:`stacked_dtw_distance`), which is the
-        fleet-batching win — the selection logic stays per query, so
-        entry ``i`` is bit-identical to
+        Queries are grouped by ``(length, position_index)`` and each
+        group is matched in one pass, one stacked DTW call per neighbour
+        position and candidate length — the fleet-batching win.  The
+        selection stays per query, so entry ``i`` is bit-identical to
         ``match(queries[i], position_indices[i], centers[i],
         tolerances[i])``.
 
@@ -312,68 +254,20 @@ class SeriesMatcher:
                 "queries, position_indices, centers and tolerances must "
                 "have equal lengths"
             )
-        wrapped: list[np.ndarray] = []
-        for query in queries:
-            q = wrap_phase(np.asarray(query, dtype=np.float64))
-            if q.ndim != 1 or len(q) < 2:
-                raise ValueError("query must be a 1-D array with >= 2 samples")
-            wrapped.append(q)
+        wrapped = [self._wrapped_query(query) for query in queries]
         for position_index in position_indices:
-            if not 0 <= position_index < len(self._profile):
-                raise ValueError(
-                    f"position_index {position_index} out of range "
-                    f"[0, {len(self._profile)})"
-                )
-        results: list[MatchResult | None] = [None] * n
+            self._check_position(position_index)
         groups: dict[tuple[int, int], list[int]] = {}
         for i in range(n):
             key = (len(wrapped[i]), int(position_indices[i]))
             groups.setdefault(key, []).append(i)
+        results: dict[int, MatchResult] = {}
         for (_, position_index), members in groups.items():
-            stacked = np.stack([wrapped[i] for i in members])
-            lo = max(0, position_index - self._config.neighbor_positions)
-            hi = min(
-                len(self._profile),
-                position_index + self._config.neighbor_positions + 1,
+            matched = self._match_group(
+                np.stack([wrapped[i] for i in members]),
+                position_index,
+                [centers[i] for i in members],
+                [tolerances[i] for i in members],
             )
-            group_centers = [centers[i] for i in members]
-            group_tolerances = [float(tolerances[i]) for i in members]
-            globals_per: list[list[MatchResult]] = [[] for _ in members]
-            feasibles_per: list[list[MatchResult]] = [[] for _ in members]
-            for pos in range(lo, hi):
-                bg, bf = self._match_position_many(
-                    stacked,
-                    self._profile[pos],
-                    pos,
-                    group_centers,
-                    group_tolerances,
-                )
-                for s in range(len(members)):
-                    if bg[s] is not None:
-                        globals_per[s].append(bg[s])
-                    if bf[s] is not None:
-                        feasibles_per[s].append(bf[s])
-            for s, i in enumerate(members):
-                if not globals_per[s]:
-                    raise ValueError(
-                        "every profiled position is shorter than every "
-                        "candidate match length"
-                    )
-                best_global = min(globals_per[s], key=lambda r: r.distance)
-                if not feasibles_per[s]:
-                    results[i] = best_global
-                    continue
-                best_feasible = min(feasibles_per[s], key=lambda r: r.distance)
-                if (
-                    best_global.distance
-                    < self._config.escape_ratio * best_feasible.distance
-                ):
-                    results[i] = best_global
-                else:
-                    results[i] = best_feasible
-        final: list[MatchResult] = []
-        for i, result in enumerate(results):
-            if result is None:  # pragma: no cover - every index is grouped
-                raise AssertionError(f"query {i} was never matched")
-            final.append(result)
-        return final
+            results.update(zip(members, matched))
+        return [results[i] for i in range(n)]

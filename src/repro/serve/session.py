@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.core.config import ViHOTConfig
 from repro.core.diagnostics import StageStats, aggregate_stage_traces
-from repro.core.engine import BatchItem
 from repro.core.online import OnlineTracker
 from repro.core.profile import CsiProfile
 from repro.core.stages import CameraLike, Estimate
@@ -377,30 +376,14 @@ class TrackedSession:
             return True
         return newest >= self._last_estimate_t + self.stride_s
 
-    def poll_inputs(self) -> tuple[float, BatchItem | None] | None:
-        """The poll instant and the tracker's engine inputs for it.
-
-        ``None`` when the session has nothing pollable (mirrors
-        :meth:`poll_estimate`'s early returns).  Otherwise ``(newest,
-        item)`` where ``item`` is ``None`` when the tracker declines —
-        the caller must still :meth:`finish_poll` at ``newest`` so the
-        poll clock advances exactly as the sequential path's would.
-        """
-        if self._tracker is None:
-            return None
-        newest = self.newest_time
-        if newest is None:
-            return None
-        return newest, self._tracker.estimation_inputs(newest)
-
     def finish_poll(self, polled_t: float, estimate: Estimate | None) -> Estimate | None:
         """Record one poll outcome: advance the poll clock, snapshot.
 
-        The bookkeeping half of :meth:`poll_estimate`, split out so the
-        batched scheduler (which produces the estimate through the
-        engine's batch call) books results identically.  Not called when
-        the poll raised — an errored poll leaves ``_last_estimate_t``
-        unchanged, matching the sequential path.
+        The bookkeeping half of :meth:`poll_estimate`, split out so a
+        stacked group (whose estimates come from one engine batch call)
+        is booked identically.  Not called when the poll raised — an
+        errored poll leaves ``_last_estimate_t`` unchanged, as
+        :meth:`poll_estimate` does.
         """
         self._last_estimate_t = polled_t
         if estimate is not None:

@@ -1,10 +1,13 @@
-"""Estimation-engine tests: stage order, traces, terminal-stage mapping."""
+"""Estimation-engine tests: stage order, traces, terminal-stage mapping,
+and the chain interpreter itself under scripted stages."""
 
 import numpy as np
 import pytest
 
 from repro.core import ViHOTConfig, ViHOTTracker, diagnose
-from repro.core.engine import EstimationEngine
+from repro.core.engine import BatchItem, EstimationEngine
+from repro.core.stages import EMIT, HOLD, PASS, RESOLVE, Estimate, Stage, StageDecision
+from repro.dsp.series import TimeSeries
 
 #: The decision chain's canonical order (Secs. 3.4-3.6).
 CHAIN = (
@@ -170,3 +173,123 @@ def test_manual_estimates_have_no_stage_stats():
     assert health.stage_stats == ()
     assert health.stage("position") is None
     assert health.stage_report() == ""
+
+
+# ----------------------------------------------------------------------
+# The chain interpreter, pinned with scripted stages
+# ----------------------------------------------------------------------
+RAISE = "raise"
+
+
+class ScriptedStage(Stage):
+    """A stage whose action at each estimate time is scripted."""
+
+    def __init__(self, name, script, default=PASS):
+        self.name = name
+        self.script = script
+        self.default = default
+
+    def run(self, ctx):
+        action = self.script.get(ctx.t, self.default)
+        if action == RAISE:
+            raise ValueError(f"{self.name} failed at t={ctx.t}")
+        if action == EMIT:
+            return StageDecision.emit(Estimate(ctx.t, ctx.t, ctx.t / 10, "csi"))
+        return StageDecision(action, fired=action != PASS, detail={"t": ctx.t})
+
+
+#: Estimate time -> (the one scripted action, whether the session has a
+#: previous estimate, the trace's stage names, its terminal stage).
+#: ``None`` names mean no estimate; a ``RAISE`` case has none either.
+SCRIPTS = {
+    1.0: ({}, True, ("a", "b", "c", "emit"), "emit"),  # PASS through to emit
+    2.0: ({"a": RESOLVE}, True, ("a", "emit"), "emit"),  # RESOLVE skips b, c
+    3.0: ({"b": HOLD}, True, ("a", "b", "hold"), "hold"),  # re-issue previous
+    4.0: ({"b": HOLD}, False, None, None),  # nothing to re-issue
+    5.0: ({"b": EMIT}, True, ("a", "b"), "b"),  # EMIT from a middle stage
+    6.0: ({"b": RAISE}, True, None, None),  # the stage raises
+}
+
+
+def _scripted_engine(profile):
+    def script(name):
+        return {t: acts[name] for t, (acts, *_rest) in SCRIPTS.items() if name in acts}
+
+    stages = [ScriptedStage(name, script(name)) for name in ("a", "b", "c")]
+    stages.append(ScriptedStage("emit", script("emit"), default=EMIT))
+    return EstimationEngine(profile, ViHOTConfig(), stages=stages)
+
+
+def _session(engine, t):
+    state = engine.new_session()
+    if SCRIPTS[t][1]:
+        state.previous = Estimate(t - 0.1, t - 0.1, 0.5, "csi")
+        state.last_confident_time = t - 0.1
+    return state
+
+
+def _payload(e):
+    if e is None:
+        return None
+    return (e.time, e.target_time, e.orientation, e.mode, e.position_index, e.dtw_distance)
+
+
+def _check_outcome(t, estimate, state, previous, confident):
+    _acts, _has_previous, names, terminal = SCRIPTS[t]
+    if names is None:
+        assert estimate is None
+        assert state.previous is previous
+        assert state.last_confident_time == confident
+        return
+    assert estimate.trace.stage_names == names
+    assert estimate.trace.terminal == terminal
+    assert all(stage.elapsed_ms >= 0.0 for stage in estimate.trace.stages)
+    assert state.previous is estimate
+    if terminal == "hold":
+        assert estimate.mode == "held"
+        assert estimate.orientation == previous.orientation
+        assert state.last_confident_time == confident  # "held" is not confident
+    else:
+        assert estimate.orientation == t / 10
+        assert state.last_confident_time == t
+
+
+@pytest.mark.parametrize("t", sorted(SCRIPTS))
+def test_estimate_at_follows_each_scripted_decision(small_profile, t):
+    engine = _scripted_engine(small_profile)
+    state = _session(engine, t)
+    previous, confident = state.previous, state.last_confident_time
+    if SCRIPTS[t][0].get("b") == RAISE:
+        with pytest.raises(ValueError, match=r"^b failed at t=6\.0$"):
+            engine.estimate_at(TimeSeries.empty(), None, t, state)
+        assert state.previous is previous
+        assert state.last_confident_time == confident
+        return
+    estimate = engine.estimate_at(TimeSeries.empty(), None, t, state)
+    _check_outcome(t, estimate, state, previous, confident)
+
+
+def test_one_mixed_wave_follows_every_scripted_decision(small_profile):
+    """Every case at once through ``estimate_batch``: each item ends
+    exactly as its own ``estimate_at`` call does, and the raising item's
+    error is contained in its result alone."""
+    engine = _scripted_engine(small_profile)
+    times = sorted(SCRIPTS)
+    states = [_session(engine, t) for t in times]
+    before = [(s.previous, s.last_confident_time) for s in states]
+    items = [BatchItem(TimeSeries.empty(), None, t, s) for t, s in zip(times, states)]
+    results = engine.estimate_batch(items)
+    assert len(results) == len(times)
+    for t, result, state, (previous, confident) in zip(times, results, states, before):
+        if SCRIPTS[t][0].get("b") == RAISE:
+            assert isinstance(result.error, ValueError)
+            assert str(result.error) == "b failed at t=6.0"
+            assert result.estimate is None
+            assert state.previous is previous
+            assert state.last_confident_time == confident
+            continue
+        assert result.error is None
+        _check_outcome(t, result.estimate, state, previous, confident)
+        reference = engine.estimate_at(TimeSeries.empty(), None, t, _session(engine, t))
+        # assert_equal: a held estimate's NaN distance equals itself here.
+        np.testing.assert_equal(_payload(result.estimate), _payload(reference))

@@ -1,10 +1,13 @@
-"""Batched engine execution: bit-identity against the sequential chain.
+"""Batched engine execution: a stacked wave equals waves of one.
 
-The sequential path (``EstimationEngine.estimate_at`` per session) is the
-pinned reference; ``estimate_batch`` — including the batch-aware
-``MatchStage.run_batch`` and ``SeriesMatcher.match_many`` underneath it —
-must produce bit-identical estimates and identical session-state
-evolution for any fleet of sessions sharing an engine.
+``EstimationEngine.estimate_at`` is the engine's one chain interpreter
+run on a single item, so calling it per session is a wave of one at
+every stage.  ``estimate_batch`` over a whole fleet — where the
+batch-aware stages stack their waves, ``MatchStage.run_batch`` and
+``SeriesMatcher.match_many`` included — must produce bit-identical
+estimates and identical session-state evolution for any fleet of
+sessions sharing an engine.  The interpreter's own decision handling is
+pinned separately, with scripted stages, in ``tests/core/test_engine.py``.
 """
 
 import numpy as np

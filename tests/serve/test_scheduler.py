@@ -1,12 +1,22 @@
-"""Round-robin scheduler: budget, deferral carry-over, deadlines.
+"""The serve loop: budget, deferral carry-over, deadlines.
 
 Real trackers are too slow for tight scheduling assertions, so these
 tests use a stub session object (duck-typed to the scheduler's needs)
 and a fake wall clock that advances a fixed amount per reading.
+
+Both schedulers run one serve loop, so every contract test takes the
+scheduler class as a defaulted argument: pytest runs it as written
+against :class:`RoundRobinScheduler`, and
+:func:`test_batched_scheduler_keeps_the_contract` runs it again against
+:class:`BatchedScheduler`, whose planner serves the tracker-less stubs
+as units of one.
 """
 
 import pytest
 
+from repro.core.engine import BatchResult
+from repro.core.stages import Estimate
+from repro.serve.batch import BatchedScheduler, BatchGroup
 from repro.serve.scheduler import RoundRobinScheduler
 
 
@@ -22,6 +32,8 @@ class FakeClock:
 
 class StubSession:
     """Pending session whose poll costs nothing but a clock reading."""
+
+    tracker = None  # the batch planner serves it as a unit of one
 
     def __init__(self, session_id, newest=1.0, due=None, stride_s=0.1):
         self.session_id = session_id
@@ -46,17 +58,17 @@ class StubSession:
         return None
 
 
-def test_all_served_when_budget_allows():
-    scheduler = RoundRobinScheduler(budget_s=100.0, wall_clock=FakeClock(0.001))
+def test_all_served_when_budget_allows(scheduler_cls=RoundRobinScheduler):
+    scheduler = scheduler_cls(budget_s=100.0, wall_clock=FakeClock(0.001))
     sessions = [StubSession(f"s{k}") for k in range(5)]
     report = scheduler.tick(sessions)
     assert [s.session_id for s in report.served] == [f"s{k}" for k in range(5)]
     assert report.deferred == ()
 
 
-def test_budget_defers_tail_and_resumes_there():
+def test_budget_defers_tail_and_resumes_there(scheduler_cls=RoundRobinScheduler):
     # Each clock reading advances 10 ms; the budget admits ~2 sessions.
-    scheduler = RoundRobinScheduler(budget_s=0.05, wall_clock=FakeClock(0.010))
+    scheduler = scheduler_cls(budget_s=0.05, wall_clock=FakeClock(0.010))
     sessions = [StubSession(f"s{k}") for k in range(6)]
     first = scheduler.tick(sessions)
     assert len(first.served) >= 1
@@ -69,8 +81,8 @@ def test_budget_defers_tail_and_resumes_there():
     assert second.served[0].session_id == first.deferred[0]
 
 
-def test_every_session_served_across_ticks():
-    scheduler = RoundRobinScheduler(budget_s=0.05, wall_clock=FakeClock(0.010))
+def test_every_session_served_across_ticks(scheduler_cls=RoundRobinScheduler):
+    scheduler = scheduler_cls(budget_s=0.05, wall_clock=FakeClock(0.010))
     sessions = [StubSession(f"s{k}") for k in range(6)]
     for _ in range(10):
         scheduler.tick(sessions)
@@ -80,16 +92,16 @@ def test_every_session_served_across_ticks():
     assert max(polls) - min(polls) <= 1
 
 
-def test_at_least_one_served_under_tiny_budget():
-    scheduler = RoundRobinScheduler(budget_s=1e-9, wall_clock=FakeClock(1.0))
+def test_at_least_one_served_under_tiny_budget(scheduler_cls=RoundRobinScheduler):
+    scheduler = scheduler_cls(budget_s=1e-9, wall_clock=FakeClock(1.0))
     sessions = [StubSession("a"), StubSession("b")]
     report = scheduler.tick(sessions)
     assert len(report.served) == 1
     assert report.deferred == ("b",)
 
 
-def test_deadline_accounting():
-    scheduler = RoundRobinScheduler(budget_s=100.0, wall_clock=FakeClock(0.001))
+def test_deadline_accounting(scheduler_cls=RoundRobinScheduler):
+    scheduler = scheduler_cls(budget_s=100.0, wall_clock=FakeClock(0.001))
     on_time = StubSession("on-time", newest=1.0, due=1.0, stride_s=0.1)
     late = StubSession("late", newest=1.05, due=1.0, stride_s=0.1)
     very_late = StubSession("very-late", newest=1.5, due=1.0, stride_s=0.1)
@@ -102,8 +114,8 @@ def test_deadline_accounting():
     assert report.deadline_misses == 1
 
 
-def test_empty_and_non_pending_sessions():
-    scheduler = RoundRobinScheduler(budget_s=1.0, wall_clock=FakeClock(0.001))
+def test_empty_and_non_pending_sessions(scheduler_cls=RoundRobinScheduler):
+    scheduler = scheduler_cls(budget_s=1.0, wall_clock=FakeClock(0.001))
     assert scheduler.tick([]).served == ()
 
     class NotPending(StubSession):
@@ -114,14 +126,14 @@ def test_empty_and_non_pending_sessions():
     assert report.served == () and report.deferred == ()
 
 
-def test_budget_validation():
+def test_budget_validation(scheduler_cls=RoundRobinScheduler):
     with pytest.raises(ValueError):
-        RoundRobinScheduler(budget_s=0.0)
+        scheduler_cls(budget_s=0.0)
 
 
-def test_stale_cursor_cleared_when_session_disappears():
+def test_stale_cursor_cleared_when_session_disappears(scheduler_cls=RoundRobinScheduler):
     # Park the cursor on a deferred session...
-    scheduler = RoundRobinScheduler(budget_s=1e-9, wall_clock=FakeClock(1.0))
+    scheduler = scheduler_cls(budget_s=1e-9, wall_clock=FakeClock(1.0))
     a, b = StubSession("a"), StubSession("b")
     first = scheduler.tick([a, b])
     assert first.deferred == ("b",)
@@ -143,8 +155,8 @@ def test_stale_cursor_cleared_when_session_disappears():
     assert third.served[0].session_id == "c"
 
 
-def test_unpollable_session_skipped_without_nan_record():
-    scheduler = RoundRobinScheduler(budget_s=100.0, wall_clock=FakeClock(0.001))
+def test_unpollable_session_skipped_without_nan_record(scheduler_cls=RoundRobinScheduler):
+    scheduler = scheduler_cls(budget_s=100.0, wall_clock=FakeClock(0.001))
 
     class Vanished(StubSession):
         @property
@@ -161,8 +173,8 @@ def test_unpollable_session_skipped_without_nan_record():
     assert gone.polls == 0
 
 
-def test_poll_exception_contained_in_serving_record():
-    scheduler = RoundRobinScheduler(budget_s=100.0, wall_clock=FakeClock(0.001))
+def test_poll_exception_contained_in_serving_record(scheduler_cls=RoundRobinScheduler):
+    scheduler = scheduler_cls(budget_s=100.0, wall_clock=FakeClock(0.001))
 
     class Exploding(StubSession):
         def poll_estimate(self):
@@ -188,10 +200,10 @@ class DeadlineStub(StubSession):
         return None
 
 
-def test_deferred_session_misses_counted_exactly_once():
+def test_deferred_session_misses_counted_exactly_once(scheduler_cls=RoundRobinScheduler):
     # The clock burns the whole budget on the first poll: each tick
     # serves exactly one session and defers the rest.
-    scheduler = RoundRobinScheduler(budget_s=1e-9, wall_clock=FakeClock(1.0))
+    scheduler = scheduler_cls(budget_s=1e-9, wall_clock=FakeClock(1.0))
     a = DeadlineStub("a", newest=1.5, due=1.0, stride_s=0.1)
     b = DeadlineStub("b", newest=1.5, due=1.0, stride_s=0.1)
 
@@ -207,3 +219,107 @@ def test_deferred_session_misses_counted_exactly_once():
     assert second.deadline_misses == 1
     assert first.deadline_misses + second.deadline_misses == 2
     assert a.polls == b.polls == 1 or (a.polls, b.polls) == (2, 1)
+
+
+CONTRACT = (
+    test_all_served_when_budget_allows,
+    test_budget_defers_tail_and_resumes_there,
+    test_every_session_served_across_ticks,
+    test_at_least_one_served_under_tiny_budget,
+    test_deadline_accounting,
+    test_empty_and_non_pending_sessions,
+    test_budget_validation,
+    test_stale_cursor_cleared_when_session_disappears,
+    test_unpollable_session_skipped_without_nan_record,
+    test_poll_exception_contained_in_serving_record,
+    test_deferred_session_misses_counted_exactly_once,
+)
+
+
+@pytest.mark.parametrize("case", CONTRACT, ids=lambda case: case.__name__)
+def test_batched_scheduler_keeps_the_contract(case):
+    case(BatchedScheduler)
+
+
+# ----------------------------------------------------------------------
+# Stacked groups in the serve loop
+# ----------------------------------------------------------------------
+class StubEngine:
+    """Answers a batch call with one estimate per item (the poll time)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def estimate_batch(self, items):
+        self.calls.append(list(items))
+        return [BatchResult(Estimate(t, t, 0.0, "csi")) for t in items]
+
+
+class StubTracker:
+    def __init__(self, engine):
+        self.engine = engine
+
+    def estimation_inputs(self, t):
+        return t
+
+
+class StackedStub(StubSession):
+    """A session whose estimate comes from a stacked engine call."""
+
+    def __init__(self, session_id, engine):
+        super().__init__(session_id)
+        self.tracker = StubTracker(engine)
+        self.finished = []
+
+    def finish_poll(self, polled_t, estimate):
+        self.finished.append((polled_t, estimate))
+        return estimate
+
+
+class StubPlanner:
+    """Stacks the sessions named in ``stacked`` into one group, placed
+    at its first member's rotation slot; the rest are units of one."""
+
+    def __init__(self, stacked):
+        self.stacked = stacked
+
+    def plan(self, sessions):
+        group = tuple(s for s in sessions if s.session_id in self.stacked)
+        groups = []
+        for session in sessions:
+            if session.session_id not in self.stacked:
+                groups.append(BatchGroup(None, (session,), batched=False))
+            elif session is group[0]:
+                groups.append(BatchGroup("stack", group, batched=True))
+        return groups
+
+
+def test_budget_stops_right_after_a_stacked_group():
+    """A tiny budget serves the stacked group (one engine call for both
+    members), defers the rest of the rotation, and parks the cursor on
+    its first unvisited session — not on a member of the group."""
+    engine = StubEngine()
+    a, c = StackedStub("a", engine), StackedStub("c", engine)
+    b, d = StubSession("b"), StubSession("d")
+    scheduler = BatchedScheduler(
+        budget_s=1e-9, wall_clock=FakeClock(1.0), planner=StubPlanner({"a", "c"})
+    )
+    first = scheduler.tick([a, b, c, d])
+    assert engine.calls == [[1.0, 1.0]]
+    assert [s.session_id for s in first.served] == ["a", "c"]
+    assert a.finished == [(1.0, first.served[0].estimate)]
+    assert c.finished == [(1.0, first.served[1].estimate)]
+    assert all(s.estimate is not None and s.error is None for s in first.served)
+    assert (first.batched_groups, first.batched_sessions, first.batch_sizes) == (1, 2, (2,))
+    assert first.fallback_sessions == 0
+    assert first.deferred == ("b", "d")
+    assert scheduler._cursor == "b"
+    assert b.polls == d.polls == 0
+
+    # Next tick the rotation starts at 'b', which is served first; the
+    # stacked group is visited next, so it is deferred as a whole.
+    second = scheduler.tick([a, b, c, d])
+    assert [s.session_id for s in second.served] == ["b"]
+    assert second.fallback_sessions == 1
+    assert second.deferred == ("c", "d", "a")
+    assert scheduler._cursor == "c"
