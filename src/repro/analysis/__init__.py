@@ -3,16 +3,34 @@
 ViHOT's serving layer re-verifies on every run that served estimates are
 bit-identical to a standalone replay (``repro.serve.loadgen``).  That
 property only holds because nothing in the estimation path reads global
-entropy or a clock.  This package makes the contract machine-checked:
-an AST-based rule engine (:mod:`repro.analysis.engine`) walks the
-source tree and reports any construct that could silently break replay
-determinism (:mod:`repro.analysis.determinism`) or the package's typing
-/ API contracts (:mod:`repro.analysis.contracts`).
+entropy or a clock, and the phase stays in its domain on the way to the
+DTW match.  This package checks those contracts without running the
+code:
 
-Run it as ``vihot lint``; CI runs it as a blocking job.  See
-``docs/static-analysis.md`` for the rule catalogue and the suppression
-mechanism (``# vihot: noqa[RULE]`` plus the reviewed allowlist in
-:mod:`repro.analysis.config`).
+* :mod:`~repro.analysis.engine` — the rule engine: file walker,
+  import-aware module context, findings, suppression;
+* per-module rules — :mod:`~repro.analysis.determinism` (VH1xx) and
+  :mod:`~repro.analysis.contracts` (VH2xx typing / API contracts);
+* the project view — :mod:`~repro.analysis.callgraph` (call graph,
+  declared contracts, return-domain summaries) and the one forward
+  interpreter over it, :mod:`~repro.analysis.flow`, with its three
+  lattices: :mod:`~repro.analysis.dataflow` (VH3xx phase domains, over
+  :mod:`~repro.analysis.domains`), :mod:`~repro.analysis.aliasing`
+  (VH4xx numpy aliasing) and :mod:`~repro.analysis.shapes` (VH5xx shapes
+  and dtypes, over :mod:`~repro.analysis.dtypes`);
+* :mod:`~repro.analysis.concurrency` — VH6xx process safety over
+  worker reachability;
+* run-time cross-checks of the declarations —
+  :mod:`~repro.analysis.runtime_contracts` (shapes/dtypes, ``pytest
+  --runtime-contracts``) and :mod:`~repro.analysis.process_contracts`
+  (shared memory and seeds, ``--process-contracts``).
+
+Run it as ``vihot lint`` (add ``--dataflow``/``--shapes``/
+``--concurrency`` for the project rules); CI runs it as a blocking job.
+See ``docs/static-analysis.md`` for the rule catalogue and the
+suppression mechanism (``# vihot: noqa[RULE]`` plus the reviewed
+allowlist in :mod:`repro.analysis.config`, which also assembles the rule
+sets).
 """
 
 from __future__ import annotations
@@ -25,6 +43,7 @@ from repro.analysis.config import (
     concurrency_rules,
     dataflow_rules,
     default_rules,
+    lint_rules,
     shape_rules,
 )
 from repro.analysis.engine import (
@@ -76,11 +95,6 @@ def run_analysis(
     if paths is None:
         paths = [Path(__file__).resolve().parent.parent]
     allowlist = DEFAULT_ALLOWLIST if use_default_allowlist else Allowlist()
-    rules = (
-        default_rules()
-        + (dataflow_rules() if dataflow else [])
-        + (shape_rules() if shapes else [])
-        + (concurrency_rules() if concurrency else [])
-    )
+    rules = lint_rules(dataflow, shapes, concurrency)
     analyzer = Analyzer(rules, allowlist=allowlist, cache_dir=cache_dir)
     return analyzer.run([Path(p) for p in paths])

@@ -8,7 +8,8 @@ buffer the **caller** owns; mutating it is a side effect the signature
 does not advertise, and it is exactly the bug class that made the fused
 tracker's forecast cache go stale once.
 
-The pass tracks a borrowed-set per function:
+The pass is a lattice on the one forward interpreter of
+:mod:`repro.analysis.flow`, tracking which names borrow a caller's buffer:
 
 * every parameter starts *borrowed*;
 * view-producing expressions keep borrowed-ness (``x[...]``, ``x.T``,
@@ -32,18 +33,17 @@ because those spellings already imply an array.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from collections.abc import Iterator
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.analysis.engine import Finding, ProjectRule, Severity
+from repro.analysis.engine import Finding, ProjectRule
+from repro.analysis.flow import Flow
 
 if TYPE_CHECKING:
     from repro.analysis.callgraph import FunctionInfo, ProjectContext
 
 __all__ = ["ParamMutationRule", "ViewMutationRule"]
-
-_MEMO_KEY = "aliasing.events"
 
 #: ndarray methods that mutate the receiver in place.
 _MUTATING_METHODS = frozenset(
@@ -84,21 +84,11 @@ _VIEW_ATTRS = frozenset({"T", "real", "imag", "flat"})
 
 @dataclass(frozen=True)
 class _Borrow:
-    """Why a local name aliases caller-owned memory."""
+    """Why a value aliases caller-owned memory."""
 
     param: str  # the parameter at the root of the alias chain
     direct: bool  # True: the parameter itself; False: a view of it
     origin: str  # trace step describing how the alias arose
-
-
-@dataclass(frozen=True)
-class _Event:
-    rule: str
-    path: str
-    line: int
-    col: int
-    message: str
-    trace: tuple[str, ...]
 
 
 def _annotation_is_array(annotation: ast.expr | None) -> bool:
@@ -116,178 +106,141 @@ def _annotation_is_array(annotation: ast.expr | None) -> bool:
     return False
 
 
-class _AliasPass:
-    """One function body: track borrowed names, flag mutations."""
+class AliasFlow(Flow["_Borrow | None"]):
+    """The borrow lattice: the caller-owned buffer a value aliases, if any.
 
-    def __init__(self, info: "FunctionInfo", project: "ProjectContext") -> None:
-        self.info = info
-        self.project = project
-        self.module = project.module_of(info)
-        self.events: list[_Event] = []
-        self.borrowed: dict[str, _Borrow] = {}
-        self.array_params: frozenset[str] = self._array_params()
-        where = f"{self.module.rel_path}:{info.node.lineno}"
-        for name in (*info.positional, *info.kwonly):
-            self.borrowed[name] = _Borrow(
-                param=name,
-                direct=True,
-                origin=f"{where}: `{name}` is a parameter of `{info.qualname}`",
-            )
+    Evaluating an expression only tracks borrows; the mutation sinks are
+    checked by the statements that write (stores, ``out=``, mutating
+    methods, augmented assignment).
+    """
 
-    def _array_params(self) -> frozenset[str]:
-        args = self.info.node.args
-        return frozenset(
+    def __init__(
+        self, info: "FunctionInfo", project: "ProjectContext", report: bool = True
+    ) -> None:
+        super().__init__(info, project, report)
+        args = info.node.args
+        self.array_params = frozenset(
             arg.arg
             for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]
             if _annotation_is_array(arg.annotation)
         )
+        for name in (*info.positional, *info.kwonly):
+            origin = f"{self.where(info.node)}: `{name}` is a parameter of `{info.qualname}`"
+            self.declare(name, _Borrow(name, True, origin), origin)
 
-    # ------------------------------------------------------------ plumbing
+    def bind(self, name: str, value: _Borrow | None, node: ast.AST, source: str) -> None:
+        # ``y = x`` / ``y = x[...]`` alias the caller buffer under a new
+        # name, keeping the alias chain as provenance; anything else
+        # (copy, arithmetic) owns its result.
+        self.declare(name, value, value.origin if value is not None else "")
 
-    def _where(self, node: ast.AST) -> str:
-        return f"{self.module.rel_path}:{getattr(node, 'lineno', self.info.node.lineno)}"
-
-    def _emit(self, node: ast.AST, borrow: _Borrow, sink: str) -> None:
-        rule = "VH401" if borrow.direct else "VH402"
+    def _emit_mutation(self, node: ast.AST, borrow: _Borrow, sink: str) -> None:
         subject = (
             f"parameter `{borrow.param}`"
             if borrow.direct
             else f"view of parameter `{borrow.param}`"
         )
-        self.events.append(
-            _Event(
-                rule=rule,
-                path=self.module.rel_path,
-                line=getattr(node, "lineno", self.info.node.lineno),
-                col=getattr(node, "col_offset", 0) + 1,
-                message=(
-                    f"in-place mutation of {subject} via {sink}: the caller "
-                    "owns this buffer and the signature does not advertise "
-                    "the write; copy first (`np.array(x)` / `x.copy()`) or "
-                    "document the contract"
-                ),
-                trace=(borrow.origin, f"{self._where(node)}: mutated via {sink}"),
-            )
+        self.emit(
+            "VH401" if borrow.direct else "VH402",
+            node,
+            f"in-place mutation of {subject} via {sink}: the caller "
+            "owns this buffer and the signature does not advertise "
+            "the write; copy first (`np.array(x)` / `x.copy()`) or "
+            "document the contract",
+            (borrow.origin, f"{self.where(node)}: mutated via {sink}"),
         )
 
     # --------------------------------------------------- borrow propagation
 
-    def _borrow_of(self, node: ast.expr) -> _Borrow | None:
-        """Borrow record for the buffer ``node`` evaluates to, if any."""
-        if isinstance(node, ast.Name):
-            return self.borrowed.get(node.id)
-        if isinstance(node, ast.Subscript):
-            root = self._borrow_of(node.value)
-            return self._as_view(root, node) if root is not None else None
-        if isinstance(node, ast.Attribute):
-            if node.attr in _VIEW_ATTRS:
-                root = self._borrow_of(node.value)
-                return self._as_view(root, node) if root is not None else None
+    def _view(self, root: _Borrow | None, node: ast.AST) -> _Borrow | None:
+        if root is None:
             return None
-        if isinstance(node, ast.Call):
-            name = self.module.call_name(node)
-            canonical = (
-                self.project.canonical_call(name, module=self.info.module)
-                if name is not None
-                else None
-            )
-            if canonical in _VIEW_CALLS and node.args:
-                root = self._borrow_of(node.args[0])
-                return self._as_view(root, node) if root is not None else None
-            func = node.func
-            if isinstance(func, ast.Attribute) and (
-                func.attr in _VIEW_METHODS
-                or (func.attr == "astype" and _astype_may_alias(node))
-            ):
-                root = self._borrow_of(func.value)
-                return self._as_view(root, node) if root is not None else None
-            return None
-        if isinstance(node, ast.IfExp):
-            return self._borrow_of(node.body) or self._borrow_of(node.orelse)
-        return None
-
-    def _as_view(self, root: _Borrow, node: ast.AST) -> _Borrow:
         return _Borrow(
             param=root.param,
             direct=False,
-            origin=f"{self._where(node)}: view of `{root.param}` "
-            f"({ast.unparse(node) if hasattr(ast, 'unparse') else 'expr'})",
+            origin=f"{self.where(node)}: view of `{root.param}` ({ast.unparse(node)})",
         )
+
+    def eval_Subscript(self, node: ast.Subscript) -> _Borrow | None:
+        return self._view(self.eval(node.value), node)
+
+    def eval_Attribute(self, node: ast.Attribute) -> _Borrow | None:
+        if node.attr in _VIEW_ATTRS:
+            return self._view(self.eval(node.value), node)
+        return None
+
+    def eval_Call(self, node: ast.Call) -> _Borrow | None:
+        if self.resolve(node)[1] in _VIEW_CALLS and node.args:
+            return self._view(self.eval(node.args[0]), node)
+        func = node.func
+        if isinstance(func, ast.Attribute) and (
+            func.attr in _VIEW_METHODS
+            or (func.attr == "astype" and _astype_may_alias(node))
+        ):
+            return self._view(self.eval(func.value), node)
+        return None
+
+    def eval_IfExp(self, node: ast.IfExp) -> _Borrow | None:
+        return self.eval(node.body) or self.eval(node.orelse)
+
+    def eval_Starred(self, node: ast.Starred) -> None:
+        # ``*x`` spreads the elements of ``x``; it is not one buffer.
+        return None
+
+    def element(self, value: _Borrow | None, stmt: ast.For) -> _Borrow | None:
+        # Iterating rows of a borrowed 2-D array yields views.
+        return self._view(value, stmt)
 
     # ---------------------------------------------------------- statements
 
-    def run(self) -> None:
-        self._run_body(self.info.node.body)
-
-    def _run_body(self, body: list[ast.stmt]) -> None:
-        for stmt in body:
-            self._run_stmt(stmt)
-
-    def _run_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            self._check_out_kw(stmt.value)
-            for target in stmt.targets:
-                self._check_store(target, sink="subscript assignment")
-                if isinstance(target, ast.Name):
-                    self._rebind(target.id, stmt.value)
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self._check_out_kw(stmt.value)
-                if isinstance(stmt.target, ast.Name):
-                    self._rebind(stmt.target.id, stmt.value)
-            self._check_store(stmt.target, sink="subscript assignment")
-        elif isinstance(stmt, ast.AugAssign):
-            self._check_out_kw(stmt.value)
-            target = stmt.target
+    def step_Assign(self, stmt: ast.Assign) -> None:
+        # Unlike the base walk, unpacking into a tuple keeps its names' borrows.
+        self._check_out_kw(stmt.value)
+        for target in stmt.targets:
+            self._check_store(target, sink="subscript assignment")
             if isinstance(target, ast.Name):
-                borrow = self.borrowed.get(target.id)
-                if borrow is not None and (
-                    not borrow.direct or borrow.param in self.array_params
-                ):
-                    self._emit(stmt, borrow, sink=f"`{target.id} {_op(stmt.op)}= ...`")
-            else:
-                self._check_store(target, sink=f"`{_op(stmt.op)}=` through a subscript")
-        elif isinstance(stmt, ast.Expr):
-            self._check_call_effects(stmt.value)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self._check_out_kw(stmt.value)
-        elif isinstance(stmt, (ast.If, ast.While)):
-            self._run_body(stmt.body)
-            self._run_body(stmt.orelse)
-        elif isinstance(stmt, ast.For):
-            if isinstance(stmt.target, ast.Name):
-                # Iterating rows of a borrowed 2-D array yields views.
-                root = self._borrow_of(stmt.iter)
-                if root is not None:
-                    self.borrowed[stmt.target.id] = self._as_view(root, stmt)
-                else:
-                    self.borrowed.pop(stmt.target.id, None)
-            self._run_body(stmt.body)
-            self._run_body(stmt.orelse)
-        elif isinstance(stmt, ast.With):
-            self._run_body(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self._run_body(stmt.body)
-            for handler in stmt.handlers:
-                self._run_body(handler.body)
-            self._run_body(stmt.orelse)
-            self._run_body(stmt.finalbody)
+                self.bind(target.id, self.eval(stmt.value), target, "")
 
-    def _rebind(self, name: str, value: ast.expr) -> None:
-        borrow = self._borrow_of(value)
-        if borrow is not None:
-            # ``y = x`` / ``y = x[...]`` alias the caller buffer under a
-            # new name; anything else (copy, arithmetic) owns its result.
-            self.borrowed[name] = borrow
+    def step_AnnAssign(self, stmt: ast.AnnAssign) -> None:
+        if stmt.value is not None:
+            self._check_out_kw(stmt.value)
+            if isinstance(stmt.target, ast.Name):
+                self.bind(stmt.target.id, self.eval(stmt.value), stmt, "")
+        self._check_store(stmt.target, sink="subscript assignment")
+
+    def step_AugAssign(self, stmt: ast.AugAssign) -> None:
+        self._check_out_kw(stmt.value)
+        target = stmt.target
+        if isinstance(target, ast.Name):
+            borrow = self.eval(target)
+            if borrow is not None and (
+                not borrow.direct or borrow.param in self.array_params
+            ):
+                self._emit_mutation(stmt, borrow, sink=f"`{target.id} {_op(stmt.op)}= ...`")
         else:
-            self.borrowed.pop(name, None)
+            self._check_store(target, sink=f"`{_op(stmt.op)}=` through a subscript")
+
+    def step_Expr(self, stmt: ast.Expr) -> None:
+        node = stmt.value
+        self._check_out_kw(node)
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr in _MUTATING_METHODS:
+                borrow = self.eval(func.value)
+                if borrow is not None:
+                    self._emit_mutation(node, borrow, sink=f"`.{func.attr}()`")
+
+    def step_Return(self, stmt: ast.Return) -> None:
+        if stmt.value is not None:
+            self._check_out_kw(stmt.value)
+
+    # ------------------------------------------------------------- checks
 
     def _check_store(self, target: ast.expr, sink: str) -> None:
         if isinstance(target, ast.Subscript):
-            borrow = self._borrow_of(target.value)
+            borrow = self.eval(target.value)
             if borrow is not None:
-                self._emit(target, borrow, sink=sink)
+                self._emit_mutation(target, borrow, sink=sink)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self._check_store(element, sink=sink)
@@ -305,19 +258,9 @@ class _AliasPass:
                     else [kw.value]
                 )
                 for target in targets:
-                    borrow = self._borrow_of(target)
+                    borrow = self.eval(target)
                     if borrow is not None:
-                        self._emit(child, borrow, sink="`out=` keyword")
-
-    def _check_call_effects(self, node: ast.expr) -> None:
-        self._check_out_kw(node)
-        if not isinstance(node, ast.Call):
-            return
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in _MUTATING_METHODS:
-            borrow = self._borrow_of(func.value)
-            if borrow is not None:
-                self._emit(node, borrow, sink=f"`.{func.attr}()`")
+                        self._emit_mutation(child, borrow, sink="`out=` keyword")
 
 
 def _astype_may_alias(node: ast.Call) -> bool:
@@ -345,40 +288,10 @@ def _op(op: ast.operator) -> str:
     }.get(type(op), "?")
 
 
-def _alias_events(project: "ProjectContext") -> list[_Event]:
-    cached = project.memo.get(_MEMO_KEY)
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    events: list[_Event] = []
-    seen: set[tuple[str, int, int, str, str]] = set()
-    for info in project.functions.values():
-        pass_ = _AliasPass(info, project)
-        pass_.run()
-        for event in pass_.events:
-            key = (event.path, event.line, event.col, event.rule, event.message)
-            if key not in seen:
-                seen.add(key)
-                events.append(event)
-    events.sort(key=lambda e: (e.path, e.line, e.col, e.rule))
-    project.memo[_MEMO_KEY] = events
-    return events
-
-
 class _AliasRuleBase(ProjectRule):
-    severity = Severity.ERROR
-
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        for event in _alias_events(project):
-            if event.rule == self.id:
-                yield Finding(
-                    path=event.path,
-                    line=event.line,
-                    col=event.col,
-                    rule=self.id,
-                    severity=self.severity,
-                    message=event.message,
-                    trace=event.trace,
-                )
+    @staticmethod
+    def family(project: "ProjectContext") -> Iterator[Finding]:
+        return AliasFlow.findings(project)
 
 
 class ParamMutationRule(_AliasRuleBase):

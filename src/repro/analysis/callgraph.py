@@ -9,14 +9,17 @@ wrap_phase`` resolves to the defining module even though it is spelled
 through ``repro/dsp/__init__.py``), and a call graph is recorded for
 every project-internal call site.
 
+Every function's declared contracts — unit domains, array shapes and
+dtypes — are read once, by :func:`declared_contracts`, from
+``Annotated[..., Domain(...)/Shape(...)/DType(...)]`` markers and
+``:domain``/``:shape``/``:dtype`` docstring lines.
+
 On top of the index the build runs the inter-procedural summary pass:
-functions whose return domain is not declared (``Annotated[...,
-Domain(...)]`` or a ``:domain return: ...`` docstring marker — see
-:mod:`repro.analysis.domains`) get one *inferred* from their return
-expressions, iterated to a fixed point so domains propagate through
-call chains.  The summary table is the expensive part of the build, so
-it is cached keyed on a hash of every source file (``cache_dir``); CI
-persists that directory between runs.
+functions whose return domain is not declared get one *inferred* from
+their return expressions, iterated to a fixed point so domains
+propagate through call chains.  The summary table is the expensive part
+of the build, so it is cached keyed on a hash of every source file
+(``cache_dir``); CI persists that directory between runs.
 """
 
 from __future__ import annotations
@@ -24,20 +27,26 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import Any
 
-from repro.analysis.domains import (
-    EXTERNAL_SIGNATURES,
-    Signature,
-    declared_domains_of,
-)
-from repro.analysis.dtypes import declared_dtypes_of
-from repro.analysis.engine import ModuleContext
-from repro.analysis.shapes import declared_shapes_of
+from repro.analysis.domains import EXTERNAL_SIGNATURES, Signature, domain_from_annotation
+from repro.analysis.dtypes import dtype_from_annotation
+from repro.analysis.engine import Finding, ModuleContext
+from repro.analysis.shapes import _parse_shape_spec, shape_from_annotation
+from repro.units import DOMAIN_NAMES, DTYPE_NAMES
 
-__all__ = ["FunctionInfo", "ProjectContext", "RULESET_EPOCH", "build_project"]
+__all__ = [
+    "FunctionInfo",
+    "ProjectContext",
+    "RULESET_EPOCH",
+    "build_project",
+    "declared_contracts",
+    "docstring_contracts",
+]
 
 #: Bump when the summary-cache layout changes.
 _CACHE_VERSION = 1
@@ -93,6 +102,76 @@ class FunctionInfo:
         )
 
 
+#: ``:domain p: wrapped_rad``, ``:dtype return: float64`` and
+#: ``:shape p: (S, m) | (S, B, L)`` docstring lines.
+_CONTRACT_LINE_RE = re.compile(
+    r"^\s*:(?P<kind>domain|dtype|shape)\s+(?P<param>\w+)\s*:\s*"
+    r"(?P<spec>\w+|\([^)\n]*\)(?:\s*\|\s*\([^)\n]*\))*)\s*$",
+    re.MULTILINE,
+)
+
+
+def docstring_contracts(docstring: str) -> dict[str, dict[str, Any]]:
+    """``kind -> {param: declared value}`` from a docstring's contract lines.
+
+    Kinds are ``domain`` and ``dtype`` (a name from :mod:`repro.units`)
+    and ``shape`` (a tuple of accepted alternatives); ``return`` keys the
+    declared return value.  The first valid line per parameter wins, and
+    an unknown name or a malformed shape is ignored.
+    """
+    contracts: dict[str, dict[str, Any]] = {"domain": {}, "dtype": {}, "shape": {}}
+    for match in _CONTRACT_LINE_RE.finditer(docstring):
+        kind, spec = match.group("kind"), match.group("spec")
+        if kind == "shape":
+            value: Any = _parse_shape_spec(spec)  # () when malformed
+        else:
+            names = DOMAIN_NAMES if kind == "domain" else DTYPE_NAMES
+            value = spec if spec in names else None
+        if value:
+            contracts[kind].setdefault(match.group("param"), value)
+    return contracts
+
+
+def _shape_alternatives(annotation: ast.expr | None) -> tuple[tuple[str | int, ...], ...] | None:
+    shape = shape_from_annotation(annotation)
+    return (shape,) if shape is not None else None
+
+
+#: Kind -> reader of its ``Annotated[...]`` marker.
+_ANNOTATION_READERS: dict[str, Callable[[ast.expr | None], Any]] = {
+    "domain": domain_from_annotation,
+    "dtype": dtype_from_annotation,
+    "shape": _shape_alternatives,
+}
+
+
+def declared_contracts(
+    fn: ast.FunctionDef | ast.AsyncFunctionDef,
+) -> dict[str, tuple[dict[str, Any], Any]]:
+    """Declared ``kind -> (param -> value, return value)`` for a function.
+
+    ``Annotated[..., Domain(...)/DType(...)/Shape(...)]`` markers win;
+    docstring lines (:func:`docstring_contracts`) fill in anything the
+    signature leaves out — the convention for ``ArrayLike`` params and
+    rank-polymorphic kernels, where ``Annotated`` is noisy.
+    """
+    lines = docstring_contracts(ast.get_docstring(fn, clean=False) or "")
+    args = [*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs]
+    declared: dict[str, tuple[dict[str, Any], Any]] = {}
+    for kind, read in _ANNOTATION_READERS.items():
+        params = {
+            arg.arg: value for arg in args if (value := read(arg.annotation)) is not None
+        }
+        returns = read(fn.returns)
+        for param, value in lines[kind].items():
+            if param != "return":
+                params.setdefault(param, value)
+            elif returns is None:
+                returns = value
+        declared[kind] = (params, returns)
+    return declared
+
+
 def _function_info(
     module_qualname: str,
     owner: str | None,
@@ -103,9 +182,7 @@ def _function_info(
     is_method = owner is not None
     if is_method and positional and positional[0] in ("self", "cls"):
         positional = positional[1:]
-    declared_params, declared_return = declared_domains_of(node)
-    declared_shapes, declared_shape_return = declared_shapes_of(node)
-    declared_dtypes, declared_dtype_return = declared_dtypes_of(node)
+    declared = declared_contracts(node)
     local = f"{owner}.{node.name}" if owner else node.name
     return FunctionInfo(
         qualname=f"{module_qualname}.{local}",
@@ -114,12 +191,12 @@ def _function_info(
         is_method=is_method,
         positional=tuple(positional),
         kwonly=tuple(a.arg for a in args.kwonlyargs),
-        declared_params=declared_params,
-        declared_return=declared_return,
-        declared_shapes=declared_shapes,
-        declared_shape_return=declared_shape_return,
-        declared_dtypes=declared_dtypes,
-        declared_dtype_return=declared_dtype_return,
+        declared_params=declared["domain"][0],
+        declared_return=declared["domain"][1],
+        declared_shapes=declared["shape"][0],
+        declared_shape_return=declared["shape"][1],
+        declared_dtypes=declared["dtype"][0],
+        declared_dtype_return=declared["dtype"][1],
     )
 
 
@@ -161,9 +238,9 @@ class ProjectContext:
         self.aliases = aliases
         self.cache_hit = cache_hit
         self.call_graph: dict[str, frozenset[str]] = {}
-        #: Scratch space rules share within one run (e.g. the dataflow
-        #: pass computes all VH30x events once; each rule filters its own).
-        self.memo: dict[str, object] = {}
+        #: Scratch space rules share within one run; :meth:`findings`
+        #: keeps each rule family's findings here.
+        self.memo: dict[Any, Any] = {}
 
     # ---------------------------------------------------------------- build
 
@@ -276,6 +353,25 @@ class ProjectContext:
             hasher.update(module.source.encode("utf-8", "replace"))
             hasher.update(b"\x01")
         return hasher.hexdigest()
+
+    # ------------------------------------------------------------ findings
+
+    def findings(
+        self, family: "Callable[[ProjectContext], Iterable[Finding]]"
+    ) -> list[Finding]:
+        """Every finding of one rule family, computed once per project.
+
+        The family's rules share the list (each reports its own ids).
+        It is de-duplicated on location, rule and message, the first
+        trace winning, and sorted by location and rule.
+        """
+        if family not in self.memo:
+            unique: dict[tuple[str, int, int, str, str], Finding] = {}
+            for finding in family(self):
+                key = (finding.path, finding.line, finding.col, finding.rule, finding.message)
+                unique.setdefault(key, finding)
+            self.memo[family] = sorted(unique.values())
+        return self.memo[family]
 
     # ------------------------------------------------------------- queries
 

@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
-from repro.analysis.engine import Finding, ProjectRule, Severity
+from repro.analysis.engine import Finding, ProjectRule, finding_at
 
 if TYPE_CHECKING:
     from repro.analysis.callgraph import FunctionInfo, ProjectContext
@@ -73,8 +73,6 @@ __all__ = [
     "PickleBoundaryRule",
     "SharedMemoryLifecycleRule",
 ]
-
-_MEMO_KEY = "concurrency.events"
 
 #: Container methods that mutate the receiver in place (VH601 sinks).
 _MUTATING_CONTAINER_METHODS = frozenset(
@@ -150,16 +148,6 @@ _BARE_MP_FACTORIES = frozenset(
 _RELEASE_METHODS = frozenset({"close", "unlink"})
 
 _SPAWNISH = frozenset({"spawn", "forkserver"})
-
-
-@dataclass(frozen=True)
-class _Event:
-    rule: str
-    path: str
-    line: int
-    col: int
-    message: str
-    trace: tuple[str, ...]
 
 
 @dataclass
@@ -687,7 +675,7 @@ def _build_index(project: "ProjectContext") -> _Index:
 # --------------------------------------------------------------------------
 
 
-def _vh601_events(index: _Index, project: "ProjectContext") -> Iterator[_Event]:
+def _vh601_findings(index: _Index, project: "ProjectContext") -> Iterator[Finding]:
     for qualname in sorted(index.reachable):
         info = project.functions[qualname]
         module = project.module_of(info)
@@ -734,24 +722,21 @@ def _vh601_events(index: _Index, project: "ProjectContext") -> Iterator[_Event]:
             sink: str,
             info: "FunctionInfo" = info,
             module_rel: str = module.rel_path,
-        ) -> _Event:
+        ) -> Finding:
             def_path, def_line = index.module_mutables[key]
             chain = _reach_chain(index, info.qualname)
             entry = chain[0]
-            return _Event(
-                rule="VH601",
-                path=module_rel,
-                line=getattr(node, "lineno", info.node.lineno),
-                col=getattr(node, "col_offset", 0) + 1,
-                message=(
-                    f"`{info.qualname}` is reachable from worker entrypoint "
-                    f"`{entry}` and mutates fork-inherited module state "
-                    f"`{key}` via {sink}; each forked worker holds a private "
-                    "copy, so the write silently diverges between processes "
-                    "— re-initialise post-fork (`global` + fresh assignment) "
-                    "or move the state onto the worker object"
-                ),
-                trace=(
+            return finding_at(
+                module_rel,
+                node,
+                "VH601",
+                f"`{info.qualname}` is reachable from worker entrypoint "
+                f"`{entry}` and mutates fork-inherited module state "
+                f"`{key}` via {sink}; each forked worker holds a private "
+                "copy, so the write silently diverges between processes "
+                "— re-initialise post-fork (`global` + fresh assignment) "
+                "or move the state onto the worker object",
+                (
                     f"{def_path}:{def_line}: `{key}` bound at module scope "
                     "(copied into every fork child)",
                     index.entrypoints.get(entry, f"entrypoint `{entry}`"),
@@ -868,7 +853,7 @@ def _transfer_releases(
     return param in _released_locals(callee)
 
 
-def _vh602_events(index: _Index, project: "ProjectContext") -> Iterator[_Event]:
+def _vh602_findings(index: _Index, project: "ProjectContext") -> Iterator[Finding]:
     for qualname in sorted(project.functions):
         info = project.functions[qualname]
         module = project.module_of(info)
@@ -945,20 +930,17 @@ def _vh602_events(index: _Index, project: "ProjectContext") -> Iterator[_Event]:
                 if name is not None
                 else "an unbound handle"
             )
-            yield _Event(
-                rule="VH602",
-                path=module.rel_path,
-                line=call.lineno,
-                col=call.col_offset + 1,
-                message=(
-                    f"`{kind}` acquired into {subject} never reaches a "
-                    "`close()`/`unlink()` on any path visible to the call "
-                    "graph: the segment outlives the process and leaks "
-                    "(resource-tracker warnings at best, an orphaned "
-                    "mapping at worst); release it in a `finally`, or hand "
-                    "it to an owner whose shutdown/failover path closes it"
-                ),
-                trace=(
+            yield finding_at(
+                module.rel_path,
+                call,
+                "VH602",
+                f"`{kind}` acquired into {subject} never reaches a "
+                "`close()`/`unlink()` on any path visible to the call "
+                "graph: the segment outlives the process and leaks "
+                "(resource-tracker warnings at best, an orphaned "
+                "mapping at worst); release it in a `finally`, or hand "
+                "it to an owner whose shutdown/failover path closes it",
+                (
                     f"{module.rel_path}:{call.lineno}: `{kind}` acquired in "
                     f"`{qualname}`",
                     "no release found in the acquiring function, its "
@@ -996,7 +978,7 @@ def _annotation_is_connection(annotation: ast.expr | None) -> bool:
     return False
 
 
-def _vh603_events(index: _Index, project: "ProjectContext") -> Iterator[_Event]:
+def _vh603_findings(index: _Index, project: "ProjectContext") -> Iterator[Finding]:
     for qualname in sorted(project.functions):
         info = project.functions[qualname]
         module = project.module_of(info)
@@ -1061,20 +1043,17 @@ def _vh603_events(index: _Index, project: "ProjectContext") -> Iterator[_Event]:
                         return found
             return None
 
-        def emit(node: ast.AST, what: str, boundary: str) -> _Event:
-            return _Event(
-                rule="VH603",
-                path=module.rel_path,
-                line=getattr(node, "lineno", info.node.lineno),
-                col=getattr(node, "col_offset", 0) + 1,
-                message=(
-                    f"{what} flows into {boundary}: it cannot cross a "
-                    "pickle boundary (TypeError at best; at worst a stale "
-                    "state snapshot serialises and the processes silently "
-                    "diverge) — send plain data and rebuild the object on "
-                    "the far side"
-                ),
-                trace=(f"{module.rel_path}:{getattr(node, 'lineno', 0)}: in `{qualname}`",),
+        def emit(node: ast.AST, what: str, boundary: str) -> Finding:
+            return finding_at(
+                module.rel_path,
+                node,
+                "VH603",
+                f"{what} flows into {boundary}: it cannot cross a "
+                "pickle boundary (TypeError at best; at worst a stale "
+                "state snapshot serialises and the processes silently "
+                "diverge) — send plain data and rebuild the object on "
+                "the far side",
+                (f"{module.rel_path}:{getattr(node, 'lineno', 0)}: in `{qualname}`",),
             )
 
         for node in ast.walk(info.node):
@@ -1115,7 +1094,7 @@ def _vh603_events(index: _Index, project: "ProjectContext") -> Iterator[_Event]:
 # --------------------------------------------------------------------------
 
 
-def _vh604_events(index: _Index, project: "ProjectContext") -> Iterator[_Event]:
+def _vh604_findings(index: _Index, project: "ProjectContext") -> Iterator[Finding]:
     # (a) module-level generator drawn from by worker-reachable code.
     for qualname in sorted(index.reachable):
         info = project.functions[qualname]
@@ -1135,20 +1114,17 @@ def _vh604_events(index: _Index, project: "ProjectContext") -> Iterator[_Event]:
             def_path, def_line = index.module_generators[key]
             chain = _reach_chain(index, qualname)
             entry = chain[0]
-            yield _Event(
-                rule="VH604",
-                path=module.rel_path,
-                line=node.lineno,
-                col=node.col_offset + 1,
-                message=(
-                    f"module-level generator `{key}` is used by "
-                    f"`{qualname}`, which is reachable from worker "
-                    f"entrypoint `{entry}`: every forked worker inherits "
-                    "the same pre-fork stream state, so 'random' draws are "
-                    "identical across the fleet — derive a per-worker seed "
-                    "post-fork (e.g. `default_rng(seed + worker_index)`)"
-                ),
-                trace=(
+            yield finding_at(
+                module.rel_path,
+                node,
+                "VH604",
+                f"module-level generator `{key}` is used by "
+                f"`{qualname}`, which is reachable from worker "
+                f"entrypoint `{entry}`: every forked worker inherits "
+                "the same pre-fork stream state, so 'random' draws are "
+                "identical across the fleet — derive a per-worker seed "
+                "post-fork (e.g. `default_rng(seed + worker_index)`)",
+                (
                     f"{def_path}:{def_line}: `{key}` seeded at module scope "
                     "(pre-fork)",
                     index.entrypoints.get(entry, f"entrypoint `{entry}`"),
@@ -1171,19 +1147,16 @@ def _vh604_events(index: _Index, project: "ProjectContext") -> Iterator[_Event]:
                 continue
             for arg in call.args:
                 if isinstance(arg, ast.Name) and arg.id in generator_locals:
-                    yield _Event(
-                        rule="VH604",
-                        path=module.rel_path,
-                        line=call.node.lineno,
-                        col=call.node.col_offset + 1,
-                        message=(
-                            f"generator `{arg.id}` is shipped into every "
-                            "worker started by this loop: all workers "
-                            "receive the same stream state and draw "
-                            "identical sequences — seed each worker "
-                            "independently instead"
-                        ),
-                        trace=(
+                    yield finding_at(
+                        module.rel_path,
+                        call.node,
+                        "VH604",
+                        f"generator `{arg.id}` is shipped into every "
+                        "worker started by this loop: all workers "
+                        "receive the same stream state and draw "
+                        "identical sequences — seed each worker "
+                        "independently instead",
+                        (
                             f"{module.rel_path}:{call.node.lineno}: "
                             f"`Process` started in a loop in `{qualname}`",
                         ),
@@ -1195,19 +1168,18 @@ def _vh604_events(index: _Index, project: "ProjectContext") -> Iterator[_Event]:
 # --------------------------------------------------------------------------
 
 
-def _vh605_events(index: _Index, project: "ProjectContext") -> Iterator[_Event]:
+def _vh605_findings(index: _Index, project: "ProjectContext") -> Iterator[Finding]:
     for qualname in sorted(project.functions):
         info = project.functions[qualname]
         module = project.module_of(info)
 
-        def emit(node: ast.AST, message: str) -> _Event:
-            return _Event(
-                rule="VH605",
-                path=module.rel_path,
-                line=getattr(node, "lineno", info.node.lineno),
-                col=getattr(node, "col_offset", 0) + 1,
-                message=message,
-                trace=(f"{module.rel_path}:{getattr(node, 'lineno', 0)}: in `{qualname}`",),
+        def emit(node: ast.AST, message: str) -> Finding:
+            return finding_at(
+                module.rel_path,
+                node,
+                "VH605",
+                message,
+                (f"{module.rel_path}:{getattr(node, 'lineno', 0)}: in `{qualname}`",),
             )
 
         started: dict[str, int] = {}
@@ -1289,49 +1261,26 @@ def _vh605_events(index: _Index, project: "ProjectContext") -> Iterator[_Event]:
 
 
 # --------------------------------------------------------------------------
-# Memoised pass + rule classes
+# The family pass + rule classes
 # --------------------------------------------------------------------------
 
 
-def _concurrency_events(project: "ProjectContext") -> list[_Event]:
-    cached = project.memo.get(_MEMO_KEY)
-    if cached is not None:
-        return cached  # type: ignore[return-value]
+def _concurrency_findings(project: "ProjectContext") -> Iterator[Finding]:
     index = _build_index(project)
-    events: list[_Event] = []
-    seen: set[tuple[str, int, int, str, str]] = set()
-    for source in (
-        _vh601_events,
-        _vh602_events,
-        _vh603_events,
-        _vh604_events,
-        _vh605_events,
+    for rule_findings in (
+        _vh601_findings,
+        _vh602_findings,
+        _vh603_findings,
+        _vh604_findings,
+        _vh605_findings,
     ):
-        for event in source(index, project):
-            key = (event.path, event.line, event.col, event.rule, event.message)
-            if key not in seen:
-                seen.add(key)
-                events.append(event)
-    events.sort(key=lambda e: (e.path, e.line, e.col, e.rule))
-    project.memo[_MEMO_KEY] = events
-    return events
+        yield from rule_findings(index, project)
 
 
 class _ConcurrencyRuleBase(ProjectRule):
-    severity = Severity.ERROR
-
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        for event in _concurrency_events(project):
-            if event.rule == self.id:
-                yield Finding(
-                    path=event.path,
-                    line=event.line,
-                    col=event.col,
-                    rule=self.id,
-                    severity=self.severity,
-                    message=event.message,
-                    trace=event.trace,
-                )
+    @staticmethod
+    def family(project: "ProjectContext") -> Iterator[Finding]:
+        return _concurrency_findings(project)
 
 
 class ForkInheritedStateRule(_ConcurrencyRuleBase):

@@ -49,6 +49,7 @@ __all__ = [
     "concurrency_rules",
     "dataflow_rules",
     "default_rules",
+    "lint_rules",
     "shape_rules",
 ]
 
@@ -115,6 +116,18 @@ def concurrency_rules() -> list[Rule]:
         CrossProcessRngRule(),
         ForkOnlyApiRule(),
     ]
+
+
+def lint_rules(
+    dataflow: bool = False, shapes: bool = False, concurrency: bool = False
+) -> list[Rule]:
+    """The rule set of one ``vihot lint`` run: the defaults plus each opt-in family."""
+    return (
+        default_rules()
+        + (dataflow_rules() if dataflow else [])
+        + (shape_rules() if shapes else [])
+        + (concurrency_rules() if concurrency else [])
+    )
 
 
 #: Reviewed exemptions.  Keep this list short: every entry is a place

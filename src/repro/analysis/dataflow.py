@@ -1,7 +1,8 @@
 """Phase-domain dataflow rules (VH3xx): units tracked across the project.
 
 The analyzer abstract-interprets every function with a tiny domain
-lattice (:mod:`repro.analysis.domains`): values acquire a unit domain
+lattice (:mod:`repro.analysis.domains`), run on the one forward
+interpreter of :mod:`repro.analysis.flow`: values acquire a unit domain
 from declared sources (``Annotated[float, Domain("wrapped_rad")]``
 params, ``:domain return: ...`` docstring markers, known numpy
 callables like ``np.angle`` / ``np.deg2rad`` / ``np.unwrap``) and the
@@ -30,7 +31,6 @@ operand acquired its domain.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
@@ -44,7 +44,8 @@ from repro.analysis.domains import (
     domain_from_annotation,
     domains_compatible,
 )
-from repro.analysis.engine import Finding, ModuleContext, ProjectRule, Severity
+from repro.analysis.engine import Finding, ModuleContext, ProjectRule
+from repro.analysis.flow import Flow, describe
 from repro.units import DEG, HZ, RAD, RAD_PER_S, UNWRAPPED_RAD, WRAPPED_RAD
 
 if TYPE_CHECKING:
@@ -57,8 +58,6 @@ __all__ = [
     "CrossCallDomainLeakRule",
     "infer_return_domain",
 ]
-
-_MEMO_KEY = "dataflow.domain_events"
 
 #: Result domain of ``a - b`` / ``a + b`` when both sides share a domain.
 #: Wrapped differences leave the wrapped interval, so they degrade to
@@ -73,22 +72,6 @@ _SUB_RESULT = {
 }
 
 
-@dataclass(frozen=True)
-class _Binding:
-    domain: str
-    origin: str  # "path:line: name <- source [domain]"
-
-
-@dataclass(frozen=True)
-class _Event:
-    rule: str
-    path: str
-    line: int
-    col: int
-    message: str
-    trace: tuple[str, ...]
-
-
 def _contains_pi(node: ast.AST, module: ModuleContext) -> bool:
     for child in ast.walk(node):
         if isinstance(child, (ast.Attribute, ast.Name)):
@@ -97,228 +80,98 @@ def _contains_pi(node: ast.AST, module: ModuleContext) -> bool:
     return False
 
 
-class _DomainPass:
-    """One function body, one forward pass, domains in, events out."""
+class DomainFlow(Flow["str | None"]):
+    """The unit-domain lattice: a value's domain name, or None (unknown)."""
 
     def __init__(
-        self,
-        info: "FunctionInfo",
-        project: "ProjectContext",
-        collect_events: bool = True,
+        self, info: "FunctionInfo", project: "ProjectContext", report: bool = True
     ) -> None:
-        self.info = info
-        self.project = project
-        self.module = project.module_of(info)
-        self.collect = collect_events
-        self.events: list[_Event] = []
+        super().__init__(info, project, report)
         self.return_domains: list[str | None] = []
-        self.env: dict[str, _Binding] = {}
         for name, domain in info.declared_params.items():
-            self.env[name] = _Binding(
-                domain,
-                f"{self.module.rel_path}:{info.node.lineno}: parameter "
-                f"`{name}` declared [{domain}]",
-            )
-
-    # ------------------------------------------------------------ plumbing
-
-    def _where(self, node: ast.AST) -> str:
-        return f"{self.module.rel_path}:{getattr(node, 'lineno', self.info.node.lineno)}"
-
-    def _emit(
-        self, rule: str, node: ast.AST, message: str, trace: tuple[str, ...]
-    ) -> None:
-        if not self.collect:
-            return
-        self.events.append(
-            _Event(
-                rule=rule,
-                path=self.module.rel_path,
-                line=getattr(node, "lineno", self.info.node.lineno),
-                col=getattr(node, "col_offset", 0) + 1,
-                message=message,
-                trace=trace[:4],
-            )
-        )
-
-    def _bind(self, name: str, domain: str | None, node: ast.AST, source: str) -> None:
-        if domain is None:
-            self.env.pop(name, None)
-            return
-        self.env[name] = _Binding(
-            domain, f"{self._where(node)}: `{name}` <- {source} [{domain}]"
-        )
-
-    def _trace_of(self, node: ast.expr) -> tuple[str, ...]:
-        """Provenance steps for the names appearing in ``node``."""
-        steps: list[str] = []
-        for child in ast.walk(node):
-            if isinstance(child, ast.Name) and child.id in self.env:
-                origin = self.env[child.id].origin
-                if origin not in steps:
-                    steps.append(origin)
-        return tuple(steps[:3])
+            self.declare_param(name, domain)
 
     # ---------------------------------------------------------- statements
 
-    def run(self) -> None:
-        self._run_body(self.info.node.body)
+    def step_AnnAssign(self, stmt: ast.AnnAssign) -> None:
+        declared = domain_from_annotation(stmt.annotation)
+        domain = self.eval(stmt.value) if stmt.value is not None else None
+        if (
+            declared is not None
+            and domain is not None
+            and not domains_compatible(domain, declared)
+        ):
+            self._mismatch(stmt.value, domain, declared, context="annotated assignment")
+        if isinstance(stmt.target, ast.Name):
+            self.bind(
+                stmt.target.id,
+                declared if declared is not None else domain,
+                stmt,
+                "declared annotation" if declared is not None else describe(stmt.value),
+            )
 
-    def _run_body(self, body: list[ast.stmt]) -> None:
-        for stmt in body:
-            self._run_stmt(stmt)
+    def step_AugAssign(self, stmt: ast.AugAssign) -> None:
+        value_domain = self.eval(stmt.value)
+        if isinstance(stmt.target, ast.Name):
+            current = self.eval(stmt.target)
+            combined = self._binop_domain(
+                stmt, stmt.op, current, value_domain, stmt.target, stmt.value
+            )
+            self.bind(stmt.target.id, combined, stmt, "augmented assignment")
 
-    def _run_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            domain = self._eval(stmt.value)
-            for target in stmt.targets:
-                self._assign_target(target, domain, stmt.value)
-        elif isinstance(stmt, ast.AnnAssign):
-            declared = domain_from_annotation(stmt.annotation)
-            domain = self._eval(stmt.value) if stmt.value is not None else None
-            if (
-                declared is not None
-                and domain is not None
-                and not domains_compatible(domain, declared)
-            ):
-                self._mismatch(stmt.value, domain, declared, context="annotated assignment")
-            if isinstance(stmt.target, ast.Name):
-                chosen = declared if declared is not None else domain
-                self._bind(
-                    stmt.target.id,
-                    chosen,
-                    stmt,
-                    "declared annotation" if declared is not None else _describe(stmt.value),
-                )
-        elif isinstance(stmt, ast.AugAssign):
-            value_domain = self._eval(stmt.value)
-            if isinstance(stmt.target, ast.Name):
-                current = self.env.get(stmt.target.id)
-                combined = self._binop_domain(
-                    stmt,
-                    stmt.op,
-                    current.domain if current else None,
-                    value_domain,
-                    stmt.target,
-                    stmt.value,
-                )
-                self._bind(stmt.target.id, combined, stmt, "augmented assignment")
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                domain = self._eval(stmt.value)
-                self.return_domains.append(domain)
-                declared = self.info.declared_return
-                if (
-                    declared is not None
-                    and domain is not None
-                    and not domains_compatible(domain, declared)
-                ):
-                    self._mismatch(
-                        stmt.value,
-                        domain,
-                        declared,
-                        context=f"return from `{self.info.qualname}`",
-                    )
-        elif isinstance(stmt, ast.Expr):
-            self._eval(stmt.value)
-        elif isinstance(stmt, ast.If):
-            self._eval(stmt.test)
-            self._run_body(stmt.body)
-            self._run_body(stmt.orelse)
-        elif isinstance(stmt, (ast.While,)):
-            self._eval(stmt.test)
-            self._run_body(stmt.body)
-            self._run_body(stmt.orelse)
-        elif isinstance(stmt, ast.For):
-            iter_domain = self._eval(stmt.iter)
-            if isinstance(stmt.target, ast.Name):
-                self._bind(stmt.target.id, iter_domain, stmt, _describe(stmt.iter))
-            self._run_body(stmt.body)
-            self._run_body(stmt.orelse)
-        elif isinstance(stmt, ast.With):
-            for item in stmt.items:
-                self._eval(item.context_expr)
-            self._run_body(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self._run_body(stmt.body)
-            for handler in stmt.handlers:
-                self._run_body(handler.body)
-            self._run_body(stmt.orelse)
-            self._run_body(stmt.finalbody)
-        elif isinstance(stmt, (ast.Assert, ast.Raise)):
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self._eval(child)
-        # Nested defs/classes are indexed and analyzed as their own
-        # functions by the project build; don't descend here.
-
-    def _assign_target(
-        self, target: ast.expr, domain: str | None, value: ast.expr
-    ) -> None:
-        if isinstance(target, ast.Name):
-            self._bind(target.id, domain, target, _describe(value))
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                if isinstance(element, ast.Name):
-                    self.env.pop(element.id, None)
+    def step_Return(self, stmt: ast.Return) -> None:
+        if stmt.value is None:
+            return
+        domain = self.eval(stmt.value)
+        self.return_domains.append(domain)
+        declared = self.info.declared_return
+        if (
+            declared is not None
+            and domain is not None
+            and not domains_compatible(domain, declared)
+        ):
+            self._mismatch(
+                stmt.value, domain, declared, context=f"return from `{self.info.qualname}`"
+            )
 
     # --------------------------------------------------------- expressions
 
-    def _eval(self, node: ast.expr, wrap_safe: bool = False) -> str | None:
-        if isinstance(node, ast.Name):
-            binding = self.env.get(node.id)
-            return binding.domain if binding else None
-        if isinstance(node, ast.Call):
-            return self._eval_call(node)
+    def eval(self, node: ast.expr, wrap_safe: bool = False) -> str | None:
+        # Only arithmetic passes ``wrap_safe`` down: a wrapped difference
+        # is safe exactly when it is an argument of a re-wrapping call.
         if isinstance(node, ast.BinOp):
-            left = self._eval(node.left, wrap_safe)
-            right = self._eval(node.right, wrap_safe)
+            left = self.eval(node.left, wrap_safe)
+            right = self.eval(node.right, wrap_safe)
             return self._binop_domain(
                 node, node.op, left, right, node.left, node.right, wrap_safe
             )
         if isinstance(node, ast.UnaryOp):
-            return self._eval(node.operand, wrap_safe)
-        if isinstance(node, ast.Subscript):
-            self._eval(node.slice if isinstance(node.slice, ast.expr) else node.value)
-            return self._eval(node.value)
-        if isinstance(node, ast.IfExp):
-            self._eval(node.test)
-            body = self._eval(node.body)
-            orelse = self._eval(node.orelse)
-            return body if body == orelse else None
-        if isinstance(node, ast.Compare):
-            self._eval(node.left)
-            for comparator in node.comparators:
-                self._eval(comparator)
-            return None
-        if isinstance(node, ast.BoolOp):
-            for value in node.values:
-                self._eval(value)
-            return None
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            domains = {self._eval(element) for element in node.elts}
-            return domains.pop() if len(domains) == 1 else None
-        if isinstance(node, ast.Starred):
-            return self._eval(node.value)
-        if isinstance(node, ast.Attribute):
-            # ``x.real`` / ``x.T`` of a domained name keeps the domain.
-            if isinstance(node.value, ast.Name) and node.attr in ("real", "T", "flat"):
-                return self._eval(node.value)
-            return None
+            return self.eval(node.operand, wrap_safe)
+        return super().eval(node)
+
+    def eval_Subscript(self, node: ast.Subscript) -> str | None:
+        self.eval(node.slice)
+        return self.eval(node.value)
+
+    def eval_Tuple(self, node: ast.Tuple | ast.List | ast.Set) -> str | None:
+        domains = {self.eval(element) for element in node.elts}
+        return domains.pop() if len(domains) == 1 else None
+
+    eval_List = eval_Set = eval_Tuple
+
+    def eval_Attribute(self, node: ast.Attribute) -> str | None:
+        # ``x.real`` / ``x.T`` of a domained name keeps the domain.
+        if isinstance(node.value, ast.Name) and node.attr in ("real", "T", "flat"):
+            return self.eval(node.value)
         return None
 
-    def _eval_call(self, node: ast.Call) -> str | None:
-        name = self.module.call_name(node)
-        canonical = (
-            self.project.canonical_call(name, module=self.info.module)
-            if name is not None
-            else None
-        )
+    def eval_Call(self, node: ast.Call) -> str | None:
+        name, canonical = self.resolve(node)
         wrap_safe = canonical in WRAP_SAFE_CALLS
 
-        arg_domains = [self._eval(arg, wrap_safe=wrap_safe) for arg in node.args]
+        arg_domains = [self.eval(arg, wrap_safe=wrap_safe) for arg in node.args]
         kw_domains = {
-            kw.arg: self._eval(kw.value, wrap_safe=wrap_safe)
+            kw.arg: self.eval(kw.value, wrap_safe=wrap_safe)
             for kw in node.keywords
             if kw.arg is not None
         }
@@ -333,14 +186,14 @@ class _DomainPass:
         if canonical in WRAP_HOSTILE_CALLS:
             target = arg_domains[0] if arg_domains else None
             if target == WRAPPED_RAD and node.args:
-                self._emit(
+                self.emit(
                     "VH302",
                     node,
                     f"`{name}` applied to wrapped phase: linear arithmetic "
                     "jumps by 2*pi at the seam; unwrap first "
                     "(`unwrap_phase`) or use `circular_mean`",
-                    self._trace_of(node.args[0])
-                    + (f"{self._where(node)}: consumed by `{name}(...)`",),
+                    self.trace_of(node.args[0])
+                    + (f"{self.where(node)}: consumed by `{name}(...)`",),
                 )
                 return None
             return target
@@ -390,20 +243,19 @@ class _DomainPass:
     def _eval_method_call(self, node: ast.Call) -> str | None:
         func = node.func
         assert isinstance(func, ast.Attribute)
-        receiver = self._eval(func.value)
+        receiver = self.eval(func.value)
         for arg in node.args:
-            self._eval(arg)
+            self.eval(arg)
         for kw in node.keywords:
-            if kw.value is not None:
-                self._eval(kw.value)
+            self.eval(kw.value)
         if func.attr in WRAP_HOSTILE_METHODS and receiver == WRAPPED_RAD:
-            self._emit(
+            self.emit(
                 "VH302",
                 node,
                 f"`.{func.attr}()` on wrapped phase: linear arithmetic jumps "
                 "by 2*pi at the seam; unwrap first or use `circular_mean`",
-                self._trace_of(func.value)
-                + (f"{self._where(node)}: consumed by `.{func.attr}()`",),
+                self.trace_of(func.value)
+                + (f"{self.where(node)}: consumed by `.{func.attr}()`",),
             )
             return None
         if func.attr in PASSTHROUGH_METHODS:
@@ -431,13 +283,13 @@ class _DomainPass:
                     and right == WRAPPED_RAD
                     and not wrap_safe
                 ):
-                    self._emit(
+                    self.emit(
                         "VH302",
                         node,
                         "subtraction of wrapped phases without re-wrapping: "
                         "the difference jumps by 2*pi at the +-pi seam; use "
                         "`phase_difference` or wrap the result (`wrap_phase`)",
-                        self._trace_of(left_node) + self._trace_of(right_node),
+                        self.trace_of(left_node) + self.trace_of(right_node),
                     )
                     return None
                 merged = left if left == right else RAD
@@ -464,18 +316,18 @@ class _DomainPass:
             return None
         return None
 
-    # ------------------------------------------------------------- events
+    # ------------------------------------------------------------- checks
 
     def _mismatch(
         self, node: ast.expr, found: str, expected: str, context: str
     ) -> None:
         rule = classify_mismatch(found, expected)
-        self._emit(
+        self.emit(
             rule,
             node,
             f"{context}: value of domain [{found}] flows where [{expected}] "
             f"is expected{_hint(found, expected)}",
-            self._trace_of(node),
+            self.trace_of(node),
         )
 
     def _mismatch_binop(
@@ -487,12 +339,12 @@ class _DomainPass:
         right_node: ast.expr,
     ) -> None:
         rule = classify_mismatch(left, right)
-        self._emit(
+        self.emit(
             rule,
             node,
             f"arithmetic mixes [{left}] with [{right}]"
             f"{_hint(left, right)}",
-            self._trace_of(left_node) + self._trace_of(right_node),
+            self.trace_of(left_node) + self.trace_of(right_node),
         )
 
     def _call_mismatch(
@@ -506,7 +358,7 @@ class _DomainPass:
         expected: str,
         param: str,
     ) -> None:
-        cross_module = info is not None and info.module != _caller_module(self)
+        cross_module = info is not None and info.module != self.info.module
         rule = (
             "VH304" if cross_module else classify_mismatch(found, expected)
         )
@@ -522,17 +374,13 @@ class _DomainPass:
                 f"`{info.qualname}` parameter `{param}` declared [{expected}]"
                 f"{_hint(found, expected)}"
             )
-        self._emit(
+        self.emit(
             rule,
-            arg_node if hasattr(arg_node, "lineno") else call,
+            arg_node,
             message,
-            self._trace_of(arg_node)
-            + (f"{self._where(call)}: passed to `{label}` (`{param}`: [{expected}])",),
+            self.trace_of(arg_node)
+            + (f"{self.where(call)}: passed to `{label}` (`{param}`: [{expected}])",),
         )
-
-
-def _caller_module(pass_: _DomainPass) -> str:
-    return pass_.info.module
 
 
 def _is_dimensionless(node: ast.expr) -> bool:
@@ -541,16 +389,6 @@ def _is_dimensionless(node: ast.expr) -> bool:
     if isinstance(node, ast.UnaryOp):
         return _is_dimensionless(node.operand)
     return False
-
-
-def _describe(node: ast.expr | None) -> str:
-    if node is None:
-        return "assignment"
-    if isinstance(node, ast.Call):
-        return f"{ast.unparse(node.func)}(...)" if hasattr(ast, "unparse") else "call"
-    if isinstance(node, ast.Name):
-        return f"`{node.id}`"
-    return type(node).__name__.lower()
 
 
 def _hint(a: str, b: str) -> str:
@@ -567,59 +405,21 @@ def _hint(a: str, b: str) -> str:
 def infer_return_domain(info: "FunctionInfo", project: "ProjectContext") -> str | None:
     """Return domain of ``info`` inferred from its return expressions.
 
-    Used by the callgraph summary pass; events are suppressed.  Returns
-    a domain only when every ``return`` with a known domain agrees.
+    Used by the callgraph summary pass, with reporting off.  Returns a
+    domain only when every ``return`` with a known domain agrees; the
+    returns of unknown domain cannot be checked anyway, and a partial
+    summary catches more than no summary.
     """
-    pass_ = _DomainPass(info, project, collect_events=False)
-    pass_.run()
-    known = {domain for domain in pass_.return_domains if domain is not None}
-    if len(known) == 1 and None not in pass_.return_domains:
-        return known.pop()
-    if len(known) == 1:
-        # Mixed known/unknown: still usable as a summary — the unknown
-        # paths cannot be checked anyway, and a partial summary catches
-        # more than no summary.
-        return known.pop()
-    return None
-
-
-def _domain_events(project: "ProjectContext") -> list[_Event]:
-    cached = project.memo.get(_MEMO_KEY)
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    events: list[_Event] = []
-    seen: set[tuple[str, int, int, str, str]] = set()
-    for info in project.functions.values():
-        pass_ = _DomainPass(info, project)
-        pass_.run()
-        for event in pass_.events:
-            key = (event.path, event.line, event.col, event.rule, event.message)
-            if key not in seen:
-                seen.add(key)
-                events.append(event)
-    events.sort(key=lambda e: (e.path, e.line, e.col, e.rule))
-    project.memo[_MEMO_KEY] = events
-    return events
+    flow = DomainFlow(info, project, report=False)
+    flow.run()
+    known = {domain for domain in flow.return_domains if domain is not None}
+    return known.pop() if len(known) == 1 else None
 
 
 class _DomainFlowRule(ProjectRule):
-    """Shared scaffolding: each concrete rule reports its slice of the
-    one dataflow pass (memoised on the project context)."""
-
-    severity = Severity.ERROR
-
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        for event in _domain_events(project):
-            if event.rule == self.id:
-                yield Finding(
-                    path=event.path,
-                    line=event.line,
-                    col=event.col,
-                    rule=self.id,
-                    severity=self.severity,
-                    message=event.message,
-                    trace=event.trace,
-                )
+    @staticmethod
+    def family(project: "ProjectContext") -> Iterator[Finding]:
+        return DomainFlow.findings(project)
 
 
 class DegRadFlowRule(_DomainFlowRule):

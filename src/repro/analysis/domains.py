@@ -1,10 +1,11 @@
 """The unit-domain lattice and the signature table the dataflow lint uses.
 
 Static mirror of :mod:`repro.units`: this module knows which domains are
-compatible, which VH3xx rule a given incompatible pair maps to, how
-domains are declared in source (``Annotated[..., Domain("...")]`` or
-``:domain name: ...`` docstring markers), and what the relevant numpy
-callables do to domains (``np.deg2rad`` consumes ``deg`` and produces
+compatible, which VH3xx rule a given incompatible pair maps to, how an
+``Annotated[..., Domain("...")]`` marker names a domain (the
+``:domain name: ...`` docstring lines are read with the other declared
+contracts, by :func:`repro.analysis.callgraph.declared_contracts`), and
+what the relevant numpy callables do to domains (``np.deg2rad`` consumes ``deg`` and produces
 ``rad``; ``np.unwrap`` consumes ``wrapped_rad`` and produces
 ``unwrapped_rad``; ``np.asarray`` passes its argument's domain through).
 
@@ -15,7 +16,6 @@ Everything here is plain data + pure functions so that
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass
 
 from repro.analysis.dtypes import _annotated_name
@@ -39,7 +39,6 @@ __all__ = [
     "WRAP_SAFE_CALLS",
     "classify_mismatch",
     "domains_compatible",
-    "declared_domains_of",
     "domain_from_annotation",
 ]
 
@@ -190,11 +189,6 @@ WRAP_SAFE_CALLS = frozenset(
     }
 )
 
-#: ``:domain <param>: <name>`` / ``:domain return: <name>`` docstring lines.
-_DOCSTRING_DOMAIN_RE = re.compile(
-    r"^\s*:domain\s+(?P<param>\w+)\s*:\s*(?P<name>\w+)\s*$", re.MULTILINE
-)
-
 
 def domain_from_annotation(annotation: ast.expr | None) -> str | None:
     """Extract ``Domain("...")`` from an ``Annotated[...]`` expression.
@@ -205,33 +199,3 @@ def domain_from_annotation(annotation: ast.expr | None) -> str | None:
     bare ``Annotated``).  Returns the domain name or None.
     """
     return _annotated_name(annotation, "Domain", DOMAIN_NAMES)
-
-
-def declared_domains_of(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> tuple[dict[str, str], str | None]:
-    """Declared ``(param -> domain, return domain)`` for a function.
-
-    ``Annotated[..., Domain(...)]`` markers win; ``:domain p: name``
-    docstring lines fill in anything the signature leaves out (the
-    convention for ``ArrayLike`` params where ``Annotated`` is noisy).
-    """
-    params: dict[str, str] = {}
-    args = fn.args
-    for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-        domain = domain_from_annotation(arg.annotation)
-        if domain is not None:
-            params[arg.arg] = domain
-    returns = domain_from_annotation(fn.returns)
-
-    docstring = ast.get_docstring(fn, clean=False) or ""
-    for match in _DOCSTRING_DOMAIN_RE.finditer(docstring):
-        param, name = match.group("param"), match.group("name")
-        if name not in DOMAIN_NAMES:
-            continue
-        if param == "return":
-            if returns is None:
-                returns = name
-        elif param not in params:
-            params[param] = name
-    return params, returns

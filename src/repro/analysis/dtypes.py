@@ -2,9 +2,11 @@
 
 Static mirror of :class:`repro.units.DType`: this module knows which
 dtype transitions lose information (``complex128 -> float64`` drops the
-phase, ``float64 -> float32`` halves the mantissa), how dtypes are
-declared in source (``Annotated[..., DType("...")]`` or ``:dtype name:
-...`` docstring markers), how arithmetic promotes dtypes, and what the
+phase, ``float64 -> float32`` halves the mantissa), how an
+``Annotated[..., DType("...")]`` marker names a dtype (the ``:dtype
+name: ...`` docstring lines are read with the other declared contracts,
+by :func:`repro.analysis.callgraph.declared_contracts`), how arithmetic
+promotes dtypes, and what the
 relevant numpy callables do to dtypes (``np.angle`` of a complex array
 is ``float64``; ``np.abs`` of ``complex128`` is its ``float64``
 magnitude; ``astype``/``asarray(dtype=...)`` are *explicit* casts that
@@ -17,7 +19,6 @@ Everything here is plain data + pure functions so that
 from __future__ import annotations
 
 import ast
-import re
 from collections.abc import Collection, Iterator
 
 from repro.units import DTYPE_NAMES
@@ -25,7 +26,6 @@ from repro.units import DTYPE_NAMES
 __all__ = [
     "CAST_CALLS",
     "REAL_OF_COMPLEX",
-    "declared_dtypes_of",
     "dtype_from_annotation",
     "dtype_from_expr",
     "dtype_kind",
@@ -55,11 +55,6 @@ CAST_CALLS: dict[str, str] = {
     "int": "int64",
     "bool": "bool",
 }
-
-#: ``:dtype <param>: <name>`` / ``:dtype return: <name>`` docstring lines.
-_DOCSTRING_DTYPE_RE = re.compile(
-    r"^\s*:dtype\s+(?P<param>\w+)\s*:\s*(?P<name>\w+)\s*$", re.MULTILINE
-)
 
 
 def dtype_kind(name: str) -> str:
@@ -185,33 +180,3 @@ def dtype_from_expr(node: ast.expr | None) -> str | None:
     if name in DTYPE_NAMES:
         return name
     return {"float": "float64", "complex": "complex128", "bool": "bool"}.get(name)
-
-
-def declared_dtypes_of(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> tuple[dict[str, str], str | None]:
-    """Declared ``(param -> dtype, return dtype)`` for a function.
-
-    ``Annotated[..., DType(...)]`` markers win; ``:dtype p: name``
-    docstring lines fill in anything the signature leaves out (the
-    convention for ``ArrayLike`` params where ``Annotated`` is noisy).
-    """
-    params: dict[str, str] = {}
-    args = fn.args
-    for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-        dtype = dtype_from_annotation(arg.annotation)
-        if dtype is not None:
-            params[arg.arg] = dtype
-    returns = dtype_from_annotation(fn.returns)
-
-    docstring = ast.get_docstring(fn, clean=False) or ""
-    for match in _DOCSTRING_DTYPE_RE.finditer(docstring):
-        param, name = match.group("param"), match.group("name")
-        if name not in DTYPE_NAMES:
-            continue
-        if param == "return":
-            if returns is None:
-                returns = name
-        elif param not in params:
-            params[param] = name
-    return params, returns

@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING
@@ -84,6 +84,26 @@ class Finding:
             "message": self.message,
             "trace": list(self.trace),
         }
+
+
+def finding_at(
+    path: str,
+    node: ast.AST,
+    rule: str,
+    message: str,
+    trace: Sequence[str] = (),
+    severity: Severity = Severity.ERROR,
+) -> Finding:
+    """A finding of ``rule`` at ``node``'s position in the module at ``path``."""
+    return Finding(
+        path=path,
+        line=getattr(node, "lineno", 1),
+        col=getattr(node, "col_offset", 0) + 1,
+        rule=rule,
+        severity=severity,
+        message=message,
+        trace=tuple(trace),
+    )
 
 
 #: ``# vihot: noqa`` or ``# vihot: noqa[VH101,VH103]`` on the physical line.
@@ -201,31 +221,33 @@ class Rule:
         message: str,
         trace: Sequence[str] = (),
     ) -> Finding:
-        return Finding(
-            path=module.rel_path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            rule=self.id,
-            severity=self.severity,
-            message=message,
-            trace=tuple(trace),
-        )
+        return finding_at(module.rel_path, node, self.id, message, trace, self.severity)
 
 
 class ProjectRule(Rule):
     """A rule that needs the whole-project view (call graph, summaries).
 
-    Subclasses implement :meth:`check_project` against a
-    :class:`repro.analysis.callgraph.ProjectContext`; the per-module
-    :meth:`check` hook is a no-op so a ``ProjectRule`` can sit in the
-    same registry without firing twice.
+    The rules of one family share one pass: ``family`` computes every
+    finding of the family over a
+    :class:`repro.analysis.callgraph.ProjectContext`, the project runs it
+    once (:meth:`~repro.analysis.callgraph.ProjectContext.findings`), and
+    each rule reports the findings carrying its id, under its severity.
+    The per-module :meth:`check` hook is a no-op so a ``ProjectRule`` can
+    sit in the same registry without firing twice.
     """
+
+    @staticmethod
+    def family(project: "ProjectContext") -> Iterable[Finding]:
+        """Every finding of the rule's family over ``project``."""
+        raise NotImplementedError
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:
         return iter(())
 
     def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        raise NotImplementedError
+        for finding in project.findings(self.family):
+            if finding.rule == self.id:
+                yield replace(finding, severity=self.severity)
 
 
 @dataclass(frozen=True)

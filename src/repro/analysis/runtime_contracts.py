@@ -45,8 +45,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.analysis.dtypes import _DOCSTRING_DTYPE_RE
-from repro.analysis.shapes import _DOCSTRING_SHAPE_RE, _parse_shape_spec
+from repro.analysis.callgraph import docstring_contracts
 
 __all__ = [
     "CONTRACT_BOUNDARIES",
@@ -128,15 +127,8 @@ def _parse_contract(boundary: str) -> _Contract:
     __import__(module_name)
     module = sys.modules[module_name]
     func = getattr(module, func_name)
-    doc = inspect.getdoc(func) or ""
-    shapes: dict[str, tuple[tuple[str | int, ...], ...]] = {}
-    for match in _DOCSTRING_SHAPE_RE.finditer(doc):
-        parsed = _parse_shape_spec(match.group("spec"))
-        if parsed:
-            shapes[match.group("param")] = parsed
-    dtypes: dict[str, str] = {}
-    for match in _DOCSTRING_DTYPE_RE.finditer(doc):
-        dtypes[match.group("param")] = match.group("name")
+    declared = docstring_contracts(inspect.getdoc(func) or "")
+    shapes, dtypes = declared["shape"], declared["dtype"]
     shape_return = shapes.pop("return", None)
     dtype_return = dtypes.pop("return", None)
     if not shapes and not dtypes and shape_return is None and dtype_return is None:

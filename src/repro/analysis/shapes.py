@@ -1,7 +1,8 @@
 """Array shape & dtype dataflow rules (VH5xx): axes tracked across the project.
 
 The analyzer abstract-interprets every function with a symbolic shape
-lattice: arrays acquire a shape — a tuple of axis tokens, each a
+lattice, run on the one forward interpreter of :mod:`repro.analysis.flow`:
+arrays acquire a shape — a tuple of axis tokens, each a
 declared symbol (``"S"``, ``"m"``), a literal int, or ``None`` for
 *unknown* — from declared sources (``Annotated[np.ndarray,
 Shape("S", "m")]`` params, ``:shape return: (S, B)`` docstring markers,
@@ -26,8 +27,8 @@ Dtypes travel alongside (:mod:`repro.analysis.dtypes`).  Findings:
   ``(S, m) * (B,)``), which numpy only accepts when one of them happens
   to be 1 — a shape coincidence, not a contract.
 
-Like the domain pass, this pass is flow-insensitive inside branches and
-gives up (shape ``None``) rather than guess: silence is cheap, a false
+Like every lattice on that interpreter, this pass is flow-insensitive
+inside branches and gives up (shape ``None``) rather than guess: silence is cheap, a false
 alarm in CI is not.  The one asymmetry worth naming: axis *symbols* are
 a shared vocabulary (:data:`repro.units.AXIS_SYMBOLS`), so ``(S, m)``
 meeting a declared ``(B, L)`` is a mismatch even though every size
@@ -47,13 +48,14 @@ from repro.analysis.dtypes import (
     CAST_CALLS,
     REAL_OF_COMPLEX,
     _annotated_markers,
+    dtype_from_annotation,
     dtype_from_expr,
     dtype_kind,
     is_silent_downcast,
     promote,
 )
-from repro.analysis.engine import Finding, ModuleContext, ProjectRule, Severity
-from repro.units import AXIS_SYMBOLS
+from repro.analysis.engine import Finding, ProjectRule
+from repro.analysis.flow import Flow
 
 if TYPE_CHECKING:
     from repro.analysis.callgraph import FunctionInfo, ProjectContext
@@ -63,11 +65,8 @@ __all__ = [
     "DtypeDowncastRule",
     "ImplicitBroadcastRule",
     "ShapeCallMismatchRule",
-    "declared_shapes_of",
     "shape_from_annotation",
 ]
-
-_MEMO_KEY = "shapes.array_events"
 
 # Axis tokens are ``str`` symbols, literal ``int`` extents, or ``None``
 # (unknown); a shape is a tuple of tokens, or ``None`` when the whole
@@ -77,11 +76,6 @@ _MEMO_KEY = "shapes.array_events"
 #: (``float32_array * 2.0`` stays float32), unlike a tracked array dtype.
 _WEAK = "weak"
 
-#: ``:shape <param>: (S, m) | (S, B, L)`` docstring lines.
-_DOCSTRING_SHAPE_RE = re.compile(
-    r"^\s*:shape\s+(?P<param>\w+)\s*:\s*(?P<spec>\([^)\n]*\)(?:\s*\|\s*\([^)\n]*\))*)\s*$",
-    re.MULTILINE,
-)
 _SHAPE_TOKEN_RE = re.compile(r"^(?:[A-Za-z_]\w*|\d+)$")
 
 
@@ -126,41 +120,6 @@ def shape_from_annotation(
         if len(tokens) == len(args):
             return tuple(tokens)
     return None
-
-
-def declared_shapes_of(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> "tuple[dict[str, tuple[tuple[str | int, ...], ...]], tuple[tuple[str | int, ...], ...] | None]":
-    """Declared ``(param -> shape alternatives, return alternatives)``.
-
-    ``Annotated[..., Shape(...)]`` markers win (one alternative);
-    ``:shape p: (S, m) | (S, B, L)`` docstring lines fill in anything the
-    signature leaves out — the convention for ``ArrayLike`` params and
-    rank-polymorphic kernels.
-    """
-    params: dict[str, tuple[tuple[str | int, ...], ...]] = {}
-    args = fn.args
-    for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-        shape = shape_from_annotation(arg.annotation)
-        if shape is not None:
-            params[arg.arg] = (shape,)
-    returns: tuple[tuple[str | int, ...], ...] | None = None
-    return_shape = shape_from_annotation(fn.returns)
-    if return_shape is not None:
-        returns = (return_shape,)
-
-    docstring = ast.get_docstring(fn, clean=False) or ""
-    for match in _DOCSTRING_SHAPE_RE.finditer(docstring):
-        param = match.group("param")
-        alternatives = _parse_shape_spec(match.group("spec"))
-        if not alternatives:
-            continue
-        if param == "return":
-            if returns is None:
-                returns = alternatives
-        elif param not in params:
-            params[param] = alternatives
-    return params, returns
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +174,7 @@ def _fmt_alternatives(alternatives: "Sequence[tuple[str | int, ...]]") -> str:
 
 
 # ---------------------------------------------------------------------------
-# The pass
+# The lattice
 # ---------------------------------------------------------------------------
 
 
@@ -226,28 +185,8 @@ class _ArrayVal:
     shape: "tuple[str | int | None, ...] | None" = None
     dtype: str | None = None
 
-    @property
-    def empty(self) -> bool:
-        return self.shape is None and self.dtype is None
-
 
 _UNKNOWN = _ArrayVal()
-
-
-@dataclass(frozen=True)
-class _Binding:
-    val: _ArrayVal
-    origin: str
-
-
-@dataclass(frozen=True)
-class _Event:
-    rule: str
-    path: str
-    line: int
-    col: int
-    message: str
-    trace: tuple[str, ...]
 
 
 #: Shape- and dtype-transparent calls: result mirrors the first argument.
@@ -312,15 +251,15 @@ _REDUCTION_METHODS = frozenset(
 )
 
 
-class _ShapePass:
-    """One function body, one forward pass, shapes/dtypes in, events out."""
+class ShapeFlow(Flow[_ArrayVal]):
+    """The shape × dtype lattice: a value's symbolic shape and dtype."""
 
-    def __init__(self, info: "FunctionInfo", project: "ProjectContext") -> None:
-        self.info = info
-        self.project = project
-        self.module = project.module_of(info)
-        self.events: list[_Event] = []
-        self.env: dict[str, _Binding] = {}
+    unknown = _UNKNOWN
+
+    def __init__(
+        self, info: "FunctionInfo", project: "ProjectContext", report: bool = True
+    ) -> None:
+        super().__init__(info, project, report)
         for name in [*info.positional, *info.kwonly]:
             alternatives = info.declared_shapes.get(name)
             shape = (
@@ -328,215 +267,91 @@ class _ShapePass:
                 if alternatives is not None and len(alternatives) == 1
                 else None
             )
-            dtype = info.declared_dtypes.get(name)
-            if shape is None and dtype is None:
-                continue
-            self.env[name] = _Binding(
-                _ArrayVal(shape, dtype),
-                f"{self.module.rel_path}:{info.node.lineno}: parameter "
-                f"`{name}` declared "
-                + (f"{_fmt(shape)}" if shape is not None else f"[{dtype}]"),
-            )
+            self.declare_param(name, _ArrayVal(shape, info.declared_dtypes.get(name)))
 
-    # ------------------------------------------------------------ plumbing
-
-    def _where(self, node: ast.AST) -> str:
-        return f"{self.module.rel_path}:{getattr(node, 'lineno', self.info.node.lineno)}"
-
-    def _emit(
-        self, rule: str, node: ast.AST, message: str, trace: tuple[str, ...]
-    ) -> None:
-        self.events.append(
-            _Event(
-                rule=rule,
-                path=self.module.rel_path,
-                line=getattr(node, "lineno", self.info.node.lineno),
-                col=getattr(node, "col_offset", 0) + 1,
-                message=message,
-                trace=trace[:4],
-            )
-        )
-
-    def _bind(self, name: str, val: _ArrayVal, node: ast.AST, source: str) -> None:
-        if val.empty:
-            self.env.pop(name, None)
-            return
-        label = _fmt(val.shape) if val.shape is not None else f"[{val.dtype}]"
-        self.env[name] = _Binding(
-            val, f"{self._where(node)}: `{name}` <- {source} {label}"
-        )
-
-    def _trace_of(self, node: ast.expr) -> tuple[str, ...]:
-        steps: list[str] = []
-        for child in ast.walk(node):
-            if isinstance(child, ast.Name) and child.id in self.env:
-                origin = self.env[child.id].origin
-                if origin not in steps:
-                    steps.append(origin)
-        return tuple(steps[:3])
+    def label(self, value: _ArrayVal) -> str:
+        return _fmt(value.shape) if value.shape is not None else f"[{value.dtype}]"
 
     # ---------------------------------------------------------- statements
 
-    def run(self) -> None:
-        self._run_body(self.info.node.body)
-
-    def _run_body(self, body: list[ast.stmt]) -> None:
-        for stmt in body:
-            self._run_stmt(stmt)
-
-    def _run_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            val = self._eval(stmt.value)
-            for target in stmt.targets:
-                self._assign_target(target, val, stmt.value)
-        elif isinstance(stmt, ast.AnnAssign):
-            from repro.analysis.dtypes import dtype_from_annotation
-
-            declared_shape = shape_from_annotation(stmt.annotation)
-            declared_dtype = dtype_from_annotation(stmt.annotation)
-            val = self._eval(stmt.value) if stmt.value is not None else _UNKNOWN
-            if declared_shape is not None and val.shape is not None:
-                self._check_shape(
-                    stmt.value if stmt.value is not None else stmt,
-                    val.shape,
-                    (declared_shape,),
-                    context="annotated assignment",
-                )
-            self._check_dtype(
+    def step_AnnAssign(self, stmt: ast.AnnAssign) -> None:
+        declared_shape = shape_from_annotation(stmt.annotation)
+        declared_dtype = dtype_from_annotation(stmt.annotation)
+        val = self.eval(stmt.value) if stmt.value is not None else _UNKNOWN
+        if declared_shape is not None and val.shape is not None:
+            self._check_shape(
                 stmt.value if stmt.value is not None else stmt,
-                val.dtype,
-                declared_dtype,
+                val.shape,
+                (declared_shape,),
                 context="annotated assignment",
             )
-            if isinstance(stmt.target, ast.Name):
-                chosen = _ArrayVal(
-                    declared_shape if declared_shape is not None else val.shape,
-                    declared_dtype if declared_dtype is not None else val.dtype,
-                )
-                self._bind(stmt.target.id, chosen, stmt, "annotated assignment")
-        elif isinstance(stmt, ast.AugAssign):
-            value = self._eval(stmt.value)
-            if isinstance(stmt.target, ast.Name):
-                current = self.env.get(stmt.target.id)
-                combined = self._broadcast(
-                    stmt,
-                    current.val if current else _UNKNOWN,
-                    value,
-                    stmt.target,
-                    stmt.value,
-                )
-                self._bind(stmt.target.id, combined, stmt, "augmented assignment")
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                val = self._eval(stmt.value)
-                declared = self.info.declared_shape_return
-                if declared is not None and val.shape is not None:
-                    self._check_shape(
-                        stmt.value,
-                        val.shape,
-                        declared,
-                        context=f"return from `{self.info.qualname}`",
-                    )
-                self._check_dtype(
-                    stmt.value,
-                    val.dtype,
-                    self.info.declared_dtype_return,
-                    context=f"return from `{self.info.qualname}`",
-                    symmetric=True,
-                )
-        elif isinstance(stmt, ast.Expr):
-            self._eval(stmt.value)
-        elif isinstance(stmt, (ast.If, ast.While)):
-            self._eval(stmt.test)
-            self._run_body(stmt.body)
-            self._run_body(stmt.orelse)
-        elif isinstance(stmt, ast.For):
-            iter_val = self._eval(stmt.iter)
-            if isinstance(stmt.target, ast.Name):
-                element = (
-                    _ArrayVal(iter_val.shape[1:], iter_val.dtype)
-                    if iter_val.shape is not None and len(iter_val.shape) >= 1
-                    else _ArrayVal(None, iter_val.dtype)
-                )
-                self._bind(stmt.target.id, element, stmt, _describe(stmt.iter))
-            self._run_body(stmt.body)
-            self._run_body(stmt.orelse)
-        elif isinstance(stmt, ast.With):
-            for item in stmt.items:
-                self._eval(item.context_expr)
-            self._run_body(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self._run_body(stmt.body)
-            for handler in stmt.handlers:
-                self._run_body(handler.body)
-            self._run_body(stmt.orelse)
-            self._run_body(stmt.finalbody)
-        elif isinstance(stmt, (ast.Assert, ast.Raise)):
-            for child in ast.iter_child_nodes(stmt):
-                if isinstance(child, ast.expr):
-                    self._eval(child)
-        # Nested defs/classes are indexed as their own functions.
+        self._check_dtype(
+            stmt.value if stmt.value is not None else stmt,
+            val.dtype,
+            declared_dtype,
+            context="annotated assignment",
+        )
+        if isinstance(stmt.target, ast.Name):
+            chosen = _ArrayVal(
+                declared_shape if declared_shape is not None else val.shape,
+                declared_dtype if declared_dtype is not None else val.dtype,
+            )
+            self.bind(stmt.target.id, chosen, stmt, "annotated assignment")
 
-    def _assign_target(
-        self, target: ast.expr, val: _ArrayVal, value: ast.expr
-    ) -> None:
-        if isinstance(target, ast.Name):
-            self._bind(target.id, val, target, _describe(value))
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                if isinstance(element, ast.Name):
-                    self.env.pop(element.id, None)
+    def step_AugAssign(self, stmt: ast.AugAssign) -> None:
+        value = self.eval(stmt.value)
+        if isinstance(stmt.target, ast.Name):
+            current = self.eval(stmt.target)
+            combined = self._broadcast(stmt, current, value, stmt.target, stmt.value)
+            self.bind(stmt.target.id, combined, stmt, "augmented assignment")
+
+    def step_Return(self, stmt: ast.Return) -> None:
+        if stmt.value is None:
+            return
+        val = self.eval(stmt.value)
+        declared = self.info.declared_shape_return
+        context = f"return from `{self.info.qualname}`"
+        if declared is not None and val.shape is not None:
+            self._check_shape(stmt.value, val.shape, declared, context=context)
+        self._check_dtype(
+            stmt.value,
+            val.dtype,
+            self.info.declared_dtype_return,
+            context=context,
+            symmetric=True,
+        )
+
+    def element(self, value: _ArrayVal, stmt: ast.For) -> _ArrayVal:
+        if value.shape is not None and len(value.shape) >= 1:
+            return _ArrayVal(value.shape[1:], value.dtype)
+        return _ArrayVal(None, value.dtype)
 
     # --------------------------------------------------------- expressions
 
-    def _eval(self, node: ast.expr) -> _ArrayVal:
-        if isinstance(node, ast.Name):
-            binding = self.env.get(node.id)
-            return binding.val if binding else _UNKNOWN
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool) or not isinstance(
-                node.value, (int, float, complex)
-            ):
-                return _UNKNOWN
-            return _ArrayVal((), _WEAK)
-        if isinstance(node, ast.Call):
-            return self._eval_call(node)
-        if isinstance(node, ast.BinOp):
-            left = self._eval(node.left)
-            right = self._eval(node.right)
-            if isinstance(node.op, (ast.MatMult, ast.BitAnd, ast.BitOr, ast.BitXor)):
-                return _UNKNOWN
-            return self._broadcast(node, left, right, node.left, node.right)
-        if isinstance(node, ast.UnaryOp):
-            return self._eval(node.operand)
-        if isinstance(node, ast.Subscript):
-            return self._eval_subscript(node)
-        if isinstance(node, ast.IfExp):
-            self._eval(node.test)
-            body = self._eval(node.body)
-            orelse = self._eval(node.orelse)
-            return body if body == orelse else _UNKNOWN
-        if isinstance(node, ast.Compare):
-            self._eval(node.left)
-            for comparator in node.comparators:
-                self._eval(comparator)
+    def eval_Constant(self, node: ast.Constant) -> _ArrayVal:
+        if isinstance(node.value, bool) or not isinstance(node.value, (int, float, complex)):
             return _UNKNOWN
-        if isinstance(node, ast.BoolOp):
-            for value in node.values:
-                self._eval(value)
+        return _ArrayVal((), _WEAK)
+
+    def eval_BinOp(self, node: ast.BinOp) -> _ArrayVal:
+        left = self.eval(node.left)
+        right = self.eval(node.right)
+        if isinstance(node.op, (ast.MatMult, ast.BitAnd, ast.BitOr, ast.BitXor)):
             return _UNKNOWN
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            for element in node.elts:
-                self._eval(element)
-            return _UNKNOWN
-        if isinstance(node, ast.Starred):
-            return self._eval(node.value)
-        if isinstance(node, ast.Attribute):
-            return self._eval_attribute(node)
+        return self._broadcast(node, left, right, node.left, node.right)
+
+    def eval_UnaryOp(self, node: ast.UnaryOp) -> _ArrayVal:
+        return self.eval(node.operand)
+
+    def eval_Tuple(self, node: ast.Tuple | ast.List | ast.Set) -> _ArrayVal:
+        for element in node.elts:
+            self.eval(element)
         return _UNKNOWN
 
-    def _eval_attribute(self, node: ast.Attribute) -> _ArrayVal:
-        receiver = self._eval(node.value)
+    eval_List = eval_Set = eval_Tuple
+
+    def eval_Attribute(self, node: ast.Attribute) -> _ArrayVal:
+        receiver = self.eval(node.value)
         if node.attr == "T":
             shape = (
                 tuple(reversed(receiver.shape))
@@ -553,10 +368,9 @@ class _ShapePass:
             return _ArrayVal(receiver.shape, dtype)
         return _UNKNOWN
 
-    def _eval_subscript(self, node: ast.Subscript) -> _ArrayVal:
-        receiver = self._eval(node.value)
-        if isinstance(node.slice, ast.expr):
-            self._eval(node.slice)
+    def eval_Subscript(self, node: ast.Subscript) -> _ArrayVal:
+        receiver = self.eval(node.value)
+        self.eval(node.slice)
         if receiver.shape is None:
             return _ArrayVal(None, receiver.dtype)
         items = (
@@ -587,7 +401,7 @@ class _ShapePass:
 
     # -------------------------------------------------------------- calls
 
-    def _eval_call(self, node: ast.Call) -> _ArrayVal:
+    def eval_Call(self, node: ast.Call) -> _ArrayVal:
         if isinstance(node.func, ast.Attribute):
             # A dotted call whose root is a tracked local is an array
             # method call (`phases.astype(...)`), not a module function:
@@ -598,17 +412,12 @@ class _ShapePass:
                 root = root.value
             if isinstance(root, ast.Name) and root.id in self.env:
                 return self._eval_method_call(node)
-        name = self.module.call_name(node)
+        name, canonical = self.resolve(node)
         if name is None and isinstance(node.func, ast.Attribute):
             return self._eval_method_call(node)
-        canonical = (
-            self.project.canonical_call(name, module=self.info.module)
-            if name is not None
-            else None
-        )
-        arg_vals = [self._eval(arg) for arg in node.args]
+        arg_vals = [self.eval(arg) for arg in node.args]
         kw_vals = {
-            kw.arg: self._eval(kw.value)
+            kw.arg: self.eval(kw.value)
             for kw in node.keywords
             if kw.arg is not None
         }
@@ -714,7 +523,7 @@ class _ShapePass:
     def _eval_stack(self, node: ast.Call) -> _ArrayVal:
         if not node.args or not isinstance(node.args[0], (ast.List, ast.Tuple)):
             return _UNKNOWN
-        elements = [self._eval(el) for el in node.args[0].elts]
+        elements = [self.eval(el) for el in node.args[0].elts]
         if not elements:
             return _UNKNOWN
         shapes = {el.shape for el in elements}
@@ -734,7 +543,7 @@ class _ShapePass:
     def _eval_concatenate(self, node: ast.Call) -> _ArrayVal:
         if not node.args or not isinstance(node.args[0], (ast.List, ast.Tuple)):
             return _UNKNOWN
-        elements = [self._eval(el) for el in node.args[0].elts]
+        elements = [self.eval(el) for el in node.args[0].elts]
         shapes = {el.shape for el in elements}
         if len(shapes) != 1 or None in shapes or not elements:
             return _UNKNOWN
@@ -769,11 +578,11 @@ class _ShapePass:
     def _eval_method_call(self, node: ast.Call) -> _ArrayVal:
         func = node.func
         assert isinstance(func, ast.Attribute)
-        receiver = self._eval(func.value)
+        receiver = self.eval(func.value)
         for arg in node.args:
-            self._eval(arg)
+            self.eval(arg)
         for kw in node.keywords:
-            self._eval(kw.value)
+            self.eval(kw.value)
         method = func.attr
         if method == "astype":
             dtype = dtype_from_expr(node.args[0]) if node.args else None
@@ -879,7 +688,7 @@ class _ShapePass:
                         if permuted
                         else "shape mismatch: argument"
                     )
-                    self._emit(
+                    self.emit(
                         rule,
                         arg_node,
                         f"{kind} {_fmt(val.shape)} passed to "
@@ -892,9 +701,9 @@ class _ShapePass:
                             if permuted
                             else ""
                         ),
-                        self._trace_of(arg_node)
+                        self.trace_of(arg_node)
                         + (
-                            f"{self._where(node)}: passed to `{spelled}` "
+                            f"{self.where(node)}: passed to `{spelled}` "
                             f"(`{param}`: {_fmt_alternatives(alternatives)})",
                         ),
                     )
@@ -905,7 +714,7 @@ class _ShapePass:
                 and val.dtype != _WEAK
                 and is_silent_downcast(val.dtype, declared_dtype)
             ):
-                self._emit(
+                self.emit(
                     "VH503",
                     arg_node,
                     f"silent dtype downcast: [{val.dtype}] value passed to "
@@ -913,9 +722,9 @@ class _ShapePass:
                     f"[{declared_dtype}]; cast explicitly "
                     f"(`.astype(np.{declared_dtype})`) if the narrowing is "
                     "intended",
-                    self._trace_of(arg_node)
+                    self.trace_of(arg_node)
                     + (
-                        f"{self._where(node)}: passed to `{spelled}` "
+                        f"{self.where(node)}: passed to `{spelled}` "
                         f"(`{param}`: [{declared_dtype}])",
                     ),
                 )
@@ -942,8 +751,8 @@ class _ShapePass:
                 f"{context}: value of shape {_fmt(found)} flows where "
                 f"{_fmt_alternatives(alternatives)} is declared"
             )
-        trace = self._trace_of(node) if isinstance(node, ast.expr) else ()
-        self._emit(rule, node, message, trace)
+        trace = self.trace_of(node) if isinstance(node, ast.expr) else ()
+        self.emit(rule, node, message, trace)
 
     def _check_dtype(
         self,
@@ -968,8 +777,8 @@ class _ShapePass:
         )
         if not narrowing:
             return
-        trace = self._trace_of(node) if isinstance(node, ast.expr) else ()
-        self._emit(
+        trace = self.trace_of(node) if isinstance(node, ast.expr) else ()
+        self.emit(
             "VH503",
             node,
             f"{context}: silent dtype downcast — [{found}] value where "
@@ -1015,14 +824,14 @@ class _ShapePass:
             else:
                 # Two different known, non-1 axes aligned: numpy only
                 # accepts this when one *happens* to be 1 at runtime.
-                self._emit(
+                self.emit(
                     "VH504",
                     node,
                     f"implicit broadcast across declared axes: "
                     f"{_fmt(left.shape)} with {_fmt(right.shape)} aligns "
                     f"`{a}` against `{b}`; reshape or index explicitly so "
                     "the pairing is visible",
-                    self._trace_of(left_node) + self._trace_of(right_node),
+                    self.trace_of(left_node) + self.trace_of(right_node),
                 )
                 ok = False
                 break
@@ -1088,58 +897,15 @@ def _swap(
     return tuple(out)
 
 
-def _describe(node: ast.expr | None) -> str:
-    if node is None:
-        return "assignment"
-    if isinstance(node, ast.Call):
-        return f"{ast.unparse(node.func)}(...)"
-    if isinstance(node, ast.Name):
-        return f"`{node.id}`"
-    return type(node).__name__.lower()
-
-
 # ---------------------------------------------------------------------------
 # rules
 # ---------------------------------------------------------------------------
 
 
-def _array_events(project: "ProjectContext") -> list[_Event]:
-    cached = project.memo.get(_MEMO_KEY)
-    if cached is not None:
-        return cached  # type: ignore[return-value]
-    events: list[_Event] = []
-    seen: set[tuple[str, int, int, str, str]] = set()
-    for info in project.functions.values():
-        pass_ = _ShapePass(info, project)
-        pass_.run()
-        for event in pass_.events:
-            key = (event.path, event.line, event.col, event.rule, event.message)
-            if key not in seen:
-                seen.add(key)
-                events.append(event)
-    events.sort(key=lambda e: (e.path, e.line, e.col, e.rule))
-    project.memo[_MEMO_KEY] = events
-    return events
-
-
 class _ArrayFlowRule(ProjectRule):
-    """Shared scaffolding: each concrete rule reports its slice of the
-    one shape/dtype pass (memoised on the project context)."""
-
-    severity = Severity.ERROR
-
-    def check_project(self, project: "ProjectContext") -> Iterator[Finding]:
-        for event in _array_events(project):
-            if event.rule == self.id:
-                yield Finding(
-                    path=event.path,
-                    line=event.line,
-                    col=event.col,
-                    rule=self.id,
-                    severity=self.severity,
-                    message=event.message,
-                    trace=event.trace,
-                )
+    @staticmethod
+    def family(project: "ProjectContext") -> Iterator[Finding]:
+        return ShapeFlow.findings(project)
 
 
 class ShapeCallMismatchRule(_ArrayFlowRule):

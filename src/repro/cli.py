@@ -223,24 +223,13 @@ def cmd_report(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from repro.analysis import (
-        concurrency_rules,
-        dataflow_rules,
-        default_rules,
-        run_analysis,
-        shape_rules,
-    )
+    from repro.analysis import run_analysis
+    from repro.analysis.config import lint_rules
 
     if args.explain is not None:
         return _explain_rule(args.explain)
-    rules = (
-        default_rules()
-        + (dataflow_rules() if args.dataflow else [])
-        + (shape_rules() if args.shapes else [])
-        + (concurrency_rules() if args.concurrency else [])
-    )
     if args.list_rules:
-        for rule in rules:
+        for rule in lint_rules(args.dataflow, args.shapes, args.concurrency):
             print(f"{rule.id} {rule.name} [{rule.severity}]")
             print(f"    {rule.description}")
             print(f"    why: {rule.rationale}")
@@ -278,17 +267,10 @@ def cmd_lint(args) -> int:
 
 def _explain_rule(rule_id: str) -> int:
     """Print one rule's full documentation (``vihot lint --explain VH502``)."""
-    from repro.analysis import (
-        concurrency_rules,
-        dataflow_rules,
-        default_rules,
-        shape_rules,
-    )
+    from repro.analysis.config import lint_rules
 
     wanted = rule_id.strip().upper()
-    for rule in (
-        default_rules() + dataflow_rules() + shape_rules() + concurrency_rules()
-    ):
+    for rule in lint_rules(dataflow=True, shapes=True, concurrency=True):
         if rule.id != wanted:
             continue
         print(f"{rule.id} {rule.name} [{rule.severity}]")

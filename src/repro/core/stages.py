@@ -132,6 +132,10 @@ class Estimate:
         trace: per-stage provenance (``None`` for estimates built
             outside the engine, e.g. in tests); excluded from equality
             so two estimates with the same payload still compare equal.
+
+    Equality compares the payload with NaN equal to NaN, so a hold with
+    no match equals its twin and its pickled copy (a fresh NaN is never
+    equal to another); the hash follows the same rule.
     """
 
     time: float
@@ -143,6 +147,25 @@ class Estimate:
     trace: EstimationTrace | None = field(
         default=None, repr=False, compare=False
     )
+
+    def _payload(self) -> tuple[object, ...]:
+        fields = (
+            self.time,
+            self.target_time,
+            self.orientation,
+            self.mode,
+            self.position_index,
+            self.dtw_distance,
+        )
+        return tuple(None if value != value else value for value in fields)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Estimate) or other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._payload() == other._payload()
+
+    def __hash__(self) -> int:
+        return hash(self._payload())
 
 
 @dataclass

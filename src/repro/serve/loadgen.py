@@ -172,27 +172,15 @@ class SyntheticCamera:
 
 
 def estimates_identical(a: Estimate | None, b: Estimate | None) -> bool:
-    """Bit-identical payload comparison, NaN-aware.
+    """Exact-replay comparison of two polls' estimates.
 
-    Dataclass equality treats ``dtw_distance=NaN`` (any non-matching
-    mode) as unequal to itself, so exact-replay verification needs this
-    instead of ``==``.  Traces are metadata and excluded, like in
-    ``Estimate.__eq__``.
+    ``None`` (no estimate) matches only ``None``; two estimates match
+    under ``Estimate.__eq__``, which compares the payload with NaN equal
+    to NaN and leaves the trace out.
     """
     if a is None or b is None:
         return a is b
-    same_dtw = (
-        a.dtw_distance == b.dtw_distance
-        or (np.isnan(a.dtw_distance) and np.isnan(b.dtw_distance))
-    )
-    return (
-        a.time == b.time
-        and a.target_time == b.target_time
-        and a.orientation == b.orientation
-        and a.mode == b.mode
-        and a.position_index == b.position_index
-        and same_dtw
-    )
+    return a == b
 
 
 def _replay_standalone(
