@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ViHOTConfig
+from repro.core.online import OnlineTracker
 from repro.serve import SessionManager
 from repro.serve.loadgen import SyntheticCabin, synthetic_profile
 from repro.serve.session import (
@@ -142,6 +143,64 @@ def test_nonfinite_packets_rejected_and_quarantine(profile):
     assert counters["quarantines_total"] == 1
     assert manager.metrics.gauge("health_quarantined").value == 1
     assert manager.health_states() == {"car-0": QUARANTINED}
+
+
+def test_mixed_reject_paths_in_one_tick(profile):
+    """One session's tick mixes every way a record can be accepted or
+    refused; the counts, the health machine and the tracker's ring all
+    come out as if each record were handled on its own."""
+    manager = make_manager()
+    manager.open_session("car-0", profile)
+    session = manager.session("car-0")
+    cabin = SyntheticCabin("car-0", seed=5, duration_s=1.0, rate_hz=100.0)
+    wide = np.exp(1j * np.linspace(0.0, 0.4, 3 * 16)).reshape(3, 16)
+    records = [
+        (float(cabin.times[0]), cabin.csi_at(0)),  # finite
+        (float(cabin.times[1]), cabin.csi_at(1)),  # finite
+        (float(cabin.times[2]), NAN_CSI),  # NaN CSI: rejected
+        (float("nan"), cabin.csi_at(2)),  # non-finite stamp: rejected
+        (float(cabin.times[2]), cabin.csi_at(2)),  # finite
+        (float(cabin.times[2]), cabin.csi_at(3)),  # duplicate stamp: dropped
+        (float(cabin.times[1]), cabin.csi_at(4)),  # out of order: dropped
+        (float(cabin.times[3]), wide),  # another (n_rx, F): accepted
+        (float("inf"), cabin.csi_at(5)),  # non-finite stamp: rejected
+        (float(cabin.times[4]), np.ones(30, dtype=np.complex128)),  # 1-D: rejected
+        (float(cabin.times[4]), NAN_CSI),  # NaN CSI: rejected
+        (float(cabin.times[4]), cabin.csi_at(4)),  # finite
+        (float(cabin.times[5]), cabin.csi_at(5)),  # finite
+    ]
+    for t, csi in records:
+        manager.ingest("car-0", t, csi)
+
+    report = manager.tick()
+
+    # Stale stamps count as ingested (the tracker drops them silently);
+    # non-finite and malformed records are rejected.
+    assert report.ingested == 8
+    assert report.rejected == 5
+    assert report.orphaned == 0
+    assert session.packets == 8
+    assert session.rejected_packets == 5
+    counters = manager.metrics_snapshot()["counters"]
+    assert counters["packets_ingested"] == 8
+    assert counters["packets_rejected"] == 5
+    # Five faults in one tick: healthy -> degraded -> quarantined.
+    assert session.health.state == QUARANTINED
+    assert session.health.fault_events == 5
+    assert report.quarantined == ("car-0",)
+
+    # The ring holds exactly the fresh, finite, well-formed packets.
+    kept = [0, 1, 2, 3, 4, 5]
+    assert session.tracker.phase_series().times.tolist() == [
+        float(cabin.times[k]) for k in kept
+    ]
+    reference = OnlineTracker(profile, FAST, buffer_s=6.0)
+    for t, csi in records:
+        if np.isfinite(t) and np.all(np.isfinite(csi)) and np.ndim(csi) == 2:
+            reference.push_csi(t, csi)
+    assert np.array_equal(
+        session.tracker.phase_series().values, reference.phase_series().values
+    )
 
 
 def test_poll_exception_contained_and_quarantines(profile):
