@@ -5,7 +5,9 @@ buffers and hands the engine zero-copy views, so per-``push_csi`` cost is
 amortised O(1) and per-``estimate()`` cost depends only on the retained
 buffer span — never on how long the session has been running.  This
 bench measures both and asserts the flatness: a 4x longer session must
-not make ``estimate()`` meaningfully slower.
+not make ``estimate()`` meaningfully slower.  It also pushes one session
+in 25-packet blocks (what a serve tick hands a 500 Hz cabin), checks the
+ring against per-packet pushes and prints both per-packet costs.
 """
 
 import time
@@ -19,6 +21,7 @@ from repro.core.profile import CsiProfile, PositionProfile
 RATE_HZ = 400.0
 N_RX = 2
 N_SUBCARRIERS = 30
+BLOCK = 25
 
 
 def synthetic_profile(num_positions: int = 4) -> CsiProfile:
@@ -115,3 +118,36 @@ def test_buffer_view_cost_flat(capsys):
         for duration_s, cost in costs.items():
             print(f"  phase_series() after {duration_s:4.0f} s: {cost * 1e6:6.1f} us")
     assert costs[40.0] < 3.0 * costs[10.0] + 50e-6
+
+
+def _push_cost(profile, times, csi, block):
+    """Push one session in ``block``-packet blocks (``None``: one packet
+    per call); returns (tracker, seconds per packet)."""
+    tracker = OnlineTracker(profile, ViHOTConfig(), buffer_s=6.0)
+    start = time.perf_counter()
+    if block is None:
+        for k in range(len(times)):
+            tracker.push_csi(float(times[k]), csi[k])
+    else:
+        for k in range(0, len(times), block):
+            tracker.push_csi(times[k : k + block], csi[k : k + block])
+    return tracker, (time.perf_counter() - start) / len(times)
+
+
+def test_block_push_matches_per_packet(capsys):
+    profile = synthetic_profile()
+    times, csi = synthetic_packets(10.0)
+    runs = {}
+    for block in (None, BLOCK, None, BLOCK, None, BLOCK):
+        tracker, cost = _push_cost(profile, times, csi, block)
+        best = runs.get(block, (None, float("inf")))[1]
+        runs[block] = (tracker, min(cost, best))
+    single, single_cost = runs[None]
+    blocked, block_cost = runs[BLOCK]
+    assert np.array_equal(blocked.phase_series().times, single.phase_series().times)
+    assert np.array_equal(blocked.phase_series().values, single.phase_series().values)
+    with capsys.disabled():
+        print()
+        print(f"  push per packet: {single_cost * 1e6:6.1f} us one at a time, "
+              f"{block_cost * 1e6:6.1f} us in {BLOCK}-packet blocks "
+              f"({single_cost / block_cost:.1f}x)")

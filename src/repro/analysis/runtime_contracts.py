@@ -76,7 +76,8 @@ CONTRACT_BOUNDARIES: tuple[str, ...] = (
 )
 
 #: Cap on retained observations, so a long soak cannot grow memory
-#: without bound.  Violations always raise regardless of the cap.
+#: without bound.  Violations always raise regardless of the cap, and
+#: :func:`summary` counts every crossing, not only the retained ones.
 _MAX_RECORDS = 10_000
 
 
@@ -119,6 +120,8 @@ class _Contract:
 
 
 _RECORDS: list[ObservedCall] = []
+#: Uncapped crossings per boundary since the last :func:`clear_records`.
+_CALLS: dict[str, int] = {}
 _ACTIVE: list[_Contract] = []
 
 
@@ -247,6 +250,7 @@ def _observe(
             observed = value.dtype.name
             _check_dtype(contract, "return", observed, contract.dtype_return)
             dtypes.append(("return", observed))
+    _CALLS[contract.boundary] = _CALLS.get(contract.boundary, 0) + 1
     if len(_RECORDS) < _MAX_RECORDS:
         _RECORDS.append(
             ObservedCall(
@@ -333,11 +337,10 @@ def records() -> tuple[ObservedCall, ...]:
 
 def clear_records() -> None:
     del _RECORDS[:]
+    _CALLS.clear()
 
 
 def summary() -> dict[str, int]:
-    """Observed call count per boundary (only boundaries seen at all)."""
-    counts: dict[str, int] = {}
-    for record in _RECORDS:
-        counts[record.boundary] = counts.get(record.boundary, 0) + 1
-    return counts
+    """Observed call count per boundary (only boundaries seen at all),
+    including the crossings past the record cap."""
+    return dict(_CALLS)

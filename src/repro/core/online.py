@@ -11,6 +11,11 @@ interface:
         ...
     estimate = tracker.estimate()           # whenever the HUD needs one
 
+A receiver that buffers packets can push them as one block instead —
+``push_csi(times, csis)`` with ``(T,)`` stamps and ``(T, n_rx, F)`` CSI —
+and pays one phase-difference call, one ring write and one eviction for
+all ``T``; the tracker ends up exactly as after ``T`` single pushes.
+
 It drives the same :class:`repro.core.engine.EstimationEngine` as the
 batch tracker (same stages, same session state); the difference is purely
 that samples arrive incrementally into preallocated numpy ring buffers
@@ -18,12 +23,13 @@ and old ones are evicted past the retention horizon.  ``estimate()``
 hands the engine zero-copy views of the live region, so its cost depends
 on the buffer span, never on how long the session has been running.
 ``tests/core/test_online.py`` pins the equivalence against the batch
-tracker.
+tracker, and block pushes against per-packet pushes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -35,15 +41,39 @@ from repro.core.stages import CameraLike, Estimate
 from repro.dsp.series import TimeSeries
 from repro.net.link import CsiStream
 
+#: numpy computes ``a * np.conj(b)`` in place in the conjugate's
+#: temporary once that temporary reaches 256 KiB (temporary elision),
+#: which swaps the operands, and with fused multiply-adds ``a * b`` and
+#: ``b * a`` can differ in the last bit.
+_ELIDE_BYTES = 256 * 1024
+
+
+def _block_phase(csi: np.ndarray) -> list[float]:
+    """Wrapped antenna phase difference of each packet of a ``(T, n_rx,
+    F)`` block, bit-identical to one call per packet.
+
+    A block under 256 KiB (273 packets of ``2 x 30`` complex CSI) is one
+    :func:`antenna_phase_difference` call; a larger one is cut into row
+    chunks whose product temporary stays under the elision size.
+    """
+    if csi.nbytes < _ELIDE_BYTES:
+        return antenna_phase_difference(csi).tolist()
+    rows = max(1, (_ELIDE_BYTES - 1) // (csi.nbytes // len(csi)))
+    wrapped: list[float] = []
+    for start in range(0, len(csi), rows):
+        wrapped += antenna_phase_difference(csi[start : start + rows]).tolist()
+    return wrapped
+
 
 class SampleRing:
     """A preallocated, time-ordered ring of ``(time, value)`` samples.
 
-    The live region is kept *contiguous*: appends write at the tail,
-    eviction advances the head, and when the tail hits the capacity the
-    live region is compacted to the front (or the arrays doubled if the
-    region still fills more than half the capacity).  Both operations
-    are amortised O(1) per sample, and :meth:`times` / :meth:`values`
+    The live region is kept *contiguous*: appends and block extends
+    write at the tail, eviction advances the head, and when a write
+    would pass the capacity the live region is compacted to the front
+    (or the arrays doubled while the region still fills more than half
+    the capacity or the block would not fit).  Both operations are
+    amortised O(1) per sample, and :meth:`times` / :meth:`values`
     are zero-copy views — no per-read array rebuild, which is what keeps
     ``OnlineTracker.estimate()`` flat in session length.
     """
@@ -89,11 +119,20 @@ class SampleRing:
 
     def append(self, time: float, value: float) -> None:
         """Append one sample; ``time`` must exceed the last timestamp."""
-        if self._tail == self.capacity:
-            self._make_room()
-        self._times[self._tail] = time
-        self._values[self._tail] = value
-        self._tail += 1
+        self.extend((time,), (value,))
+
+    def extend(
+        self, times: Sequence[float] | np.ndarray, values: Sequence[float] | np.ndarray
+    ) -> None:
+        """Append samples in order; ``times`` must increase past the last
+        timestamp.  One block write, however many samples."""
+        n = len(times)
+        if self._tail + n > len(self._times):
+            self._make_room(n)
+        end = self._tail + n
+        self._times[self._tail : end] = times
+        self._values[self._tail : end] = values
+        self._tail = end
 
     def evict_before(self, horizon: float) -> int:
         """Drop samples with ``time < horizon``; returns how many."""
@@ -102,12 +141,16 @@ class SampleRing:
         self._head += drop
         return drop
 
-    def _make_room(self) -> None:
+    def _make_room(self, extra: int) -> None:
         live = len(self)
-        if live > self.capacity // 2:
-            # Still mostly full after eviction: double the capacity.
-            grown_times = np.empty(2 * self.capacity, dtype=np.float64)
-            grown_values = np.empty(2 * self.capacity, dtype=np.float64)
+        capacity = self.capacity
+        while 2 * live > capacity or live + extra > capacity:
+            capacity *= 2
+        if capacity > self.capacity:
+            # Still mostly full after eviction (or the incoming block
+            # would not fit): grow by doubling.
+            grown_times = np.empty(capacity, dtype=np.float64)
+            grown_values = np.empty(capacity, dtype=np.float64)
             grown_times[:live] = self.times()
             grown_values[:live] = self.values()
             self._times = grown_times
@@ -122,6 +165,13 @@ class SampleRing:
 
 class OnlineTracker:
     """Incremental ViHOT: push CSI/IMU samples, pull estimates.
+
+    CSI goes in one packet or one block of packets per
+    :meth:`push_csi`; a single packet is the ``T = 1`` block of the same
+    code, so how a stream is cut into blocks never changes the tracker's
+    state or its estimates.  The serving layer pushes each session's
+    drained packets as blocks; :meth:`feed` and the reference replays
+    push one packet at a time.
 
     Args:
         profile: the driver's CSI profile.
@@ -200,29 +250,65 @@ class OnlineTracker:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def push_csi(self, time: float, csi: np.ndarray) -> None:
-        """Ingest one packet's CSI matrix, shape ``(n_rx, F)``."""
-        time = float(time)
-        if not np.isfinite(time):
-            raise ValueError(f"packet timestamp must be finite, got {time}")
+    def push_csi(self, time: float | np.ndarray, csi: np.ndarray) -> None:
+        """Ingest one packet, or a block of packets in arrival order.
+
+        One packet is a scalar ``time`` with CSI of shape ``(n_rx, F)``;
+        a block is ``(T,)`` stamps with ``(T, n_rx, F)`` CSI, and one
+        packet is its ``T = 1`` case.  A block leaves the tracker exactly
+        as ``T`` single pushes in order would: a packet is kept iff its
+        stamp exceeds the ring's last stamp and every earlier stamp in
+        the block (the NIC timestamps are our clock, so a reordered or
+        duplicate arrival is dropped), and the incremental unwrap runs
+        over the kept packets in order.  The block costs one phase
+        difference call, one ring write and one eviction.
+
+        Raises ``ValueError`` on a malformed block or a non-finite stamp
+        before any state changes.
+        """
+        times = np.asarray(time, dtype=np.float64)
         csi = np.asarray(csi)
-        if csi.ndim != 2:
-            raise ValueError(f"per-packet CSI must be (n_rx, F), got {csi.shape}")
-        if len(self._phase) and time <= self._phase.last_time:
-            # Reordered/duplicate packet: the NIC timestamps are our
-            # clock, so a non-increasing arrival is dropped.
+        if times.ndim == 0:
+            # One packet: the T = 1 block.
+            if csi.ndim != 2:
+                raise ValueError(f"per-packet CSI must be (n_rx, F), got {csi.shape}")
+            stamps = [float(times)]
+            csi = csi[None]
+        elif times.ndim == 1 and csi.ndim == 3 and len(csi) == len(times):
+            stamps = times.tolist()
+        else:
+            raise ValueError(
+                f"a CSI block needs (T,) stamps and (T, n_rx, F) CSI, got "
+                f"{times.shape} and {csi.shape}"
+            )
+        if not all(map(math.isfinite, stamps)):
+            raise ValueError(f"packet timestamps must be finite, got {stamps}")
+        wrapped = _block_phase(csi)
+        bound = self._phase.last_time if len(self._phase) else -math.inf
+        last_wrapped = self._last_wrapped
+        offset = self._unwrap_offset
+        kept_times: list[float] = []
+        kept_values: list[float] = []
+        for t, w in zip(stamps, wrapped):
+            if t <= bound:
+                continue
+            bound = t
+            # Incremental unwrap against the previous kept sample.
+            if last_wrapped is not None:
+                delta = w - last_wrapped
+                if delta > np.pi:
+                    offset -= 2.0 * np.pi
+                elif delta < -np.pi:
+                    offset += 2.0 * np.pi
+            last_wrapped = w
+            kept_times.append(t)
+            kept_values.append(w + offset)
+        if not kept_times:
             return
-        wrapped = float(antenna_phase_difference(csi[None, :, :])[0])
-        # Incremental unwrap against the previous sample.
-        if self._last_wrapped is not None:
-            delta = wrapped - self._last_wrapped
-            if delta > np.pi:
-                self._unwrap_offset -= 2.0 * np.pi
-            elif delta < -np.pi:
-                self._unwrap_offset += 2.0 * np.pi
-        self._last_wrapped = wrapped
-        self._phase.append(float(time), wrapped + self._unwrap_offset)
-        self._evict(time)
+        self._last_wrapped = last_wrapped
+        self._unwrap_offset = offset
+        self._phase.extend(kept_times, kept_values)
+        self._evict(bound)
 
     def push_imu(self, time: float, yaw_rate: float) -> None:
         """Ingest one phone gyro reading."""

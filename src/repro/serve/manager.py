@@ -30,8 +30,9 @@ bit-identical results (``tests/serve/test_equivalence.py``).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from collections.abc import Callable, Iterator
+from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from repro.core.profile import CsiProfile
 from repro.core.stages import CameraLike, Estimate
 from repro.core.workloads import HEAD_WORKLOAD
 from repro.serve.batch import BatchedScheduler
-from repro.serve.ingest import IngestQueue
+from repro.serve.ingest import IngestQueue, IngestRecord
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.scheduler import RoundRobinScheduler, TickReport
 from repro.serve.session import (
@@ -57,16 +58,12 @@ from repro.serve.session import (
 )
 
 
-def _finite_packet(time: float, csi: np.ndarray) -> bool:
-    """Whether one CSI record is safe to hand a tracker.
-
-    A single NaN (or infinite) CSI entry poisons the tracker's
-    incremental phase unwrap for the rest of the session, and a
-    non-finite timestamp raises deep inside ``push_csi`` — both are
-    rejected at the ingest boundary instead, counted per session, and
-    fed to the health machine.
-    """
-    return bool(np.isfinite(time)) and bool(np.all(np.isfinite(csi)))
+def _shape_runs(records: list[IngestRecord]) -> Iterator[list[IngestRecord]]:
+    """Split one session's drained records into maximal runs of equal
+    CSI shape and dtype, in arrival order: each run stacks into one
+    ``(T, n_rx, F)`` block without changing a single value."""
+    for _key, run in groupby(records, key=lambda r: (r.csi.shape, r.csi.dtype)):
+        yield list(run)
 
 
 def scenario_fingerprint(config: object) -> str:
@@ -143,6 +140,15 @@ class ManagerTickReport:
 
 class SessionManager:
     """Own, feed and schedule a fleet of tracked sessions.
+
+    ``ingest`` only queues a packet; ``tick`` drains the queue and hands
+    each session its packets as blocks, one per run of equal CSI shape
+    and dtype, with one finite mask over the run's stamps and CSI.  A
+    block push leaves the tracker exactly as pushing its packets one at
+    a time would, so batching ingest changes cost, never estimates;
+    non-finite and malformed packets are counted as rejected and fed to
+    the session's health machine, duplicates and reordered stamps count
+    as ingested and are dropped by the tracker.
 
     Args:
         config: tracker parameters shared by every session.
@@ -394,11 +400,12 @@ class SessionManager:
     def tick(self, max_records: int | None = None) -> ManagerTickReport:
         now = self._clock()
 
-        # 1. Drain the queue into the sessions.  Poisoned packets
-        # (non-finite CSI or stamps) and push-time errors are rejected
-        # here — counted, fed to the session's health machine — so one
-        # corrupted cabin stream can never kill the tick or poison a
-        # tracker's unwrap chain.
+        # 1. Drain the queue into the sessions, one block per run of
+        # equal CSI shape.  Poisoned packets (non-finite CSI or stamps)
+        # are masked out and malformed blocks refused here — counted,
+        # fed to the session's health machine — so one corrupted cabin
+        # stream can never kill the tick or poison a tracker's unwrap
+        # chain.  A block push equals pushing its packets one by one.
         batch = self._queue.drain(max_records)
         ingested = 0
         orphaned = 0
@@ -411,16 +418,24 @@ class SessionManager:
                 continue
             accepted = 0
             bad = 0
-            for record in records:
-                if not _finite_packet(record.time, record.csi):
-                    bad += 1
+            for run in _shape_runs(records):
+                times = np.array([record.time for record in run], dtype=np.float64)
+                csi = np.stack([record.csi for record in run])
+                finite = np.isfinite(times) & np.isfinite(csi.reshape(len(run), -1)).all(
+                    axis=1
+                )
+                kept = int(np.count_nonzero(finite))
+                bad += len(run) - kept
+                if kept == 0:
                     continue
+                if kept < len(run):
+                    times, csi = times[finite], csi[finite]
                 try:
-                    session.push_csi(record.time, record.csi)
+                    session.push_csi(times, csi)
                 except (ValueError, SessionStateError):
-                    bad += 1
+                    bad += kept
                     continue
-                accepted += 1
+                accepted += kept
             ingested += accepted
             rejected += bad
             if bad:

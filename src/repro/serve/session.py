@@ -320,7 +320,10 @@ class TrackedSession:
     # ------------------------------------------------------------------
     # Ingest (called by the manager, on drained batches)
     # ------------------------------------------------------------------
-    def push_csi(self, time: float, csi: np.ndarray) -> None:
+    def push_csi(self, time: float | np.ndarray, csi: np.ndarray) -> None:
+        """Route one packet, or a ``(T,)``/``(T, n_rx, F)`` block of
+        them (see :meth:`OnlineTracker.push_csi`), into the tracker;
+        counts ``T`` packets once the tracker accepted the block."""
         if self._state == EVICTED:
             raise SessionStateError(f"session {self.session_id!r} is evicted")
         if self._tracker is None:
@@ -331,7 +334,7 @@ class TrackedSession:
         if self._state in (PROFILED, IDLE):
             self._transition(LIVE)
         self._tracker.push_csi(time, csi)
-        self.packets += 1
+        self.packets += np.size(time)
 
     def push_imu(self, time: float, yaw_rate: float) -> None:
         if self._state == EVICTED:

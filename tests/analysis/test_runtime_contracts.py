@@ -78,6 +78,16 @@ def test_observed_kernel_traffic_is_recorded(contracts):
     assert bound["L"] == 8
 
 
+def test_summary_counts_crossings_past_the_record_cap(contracts, monkeypatch):
+    monkeypatch.setattr(rc, "_MAX_RECORDS", 3)
+    for _ in range(5):
+        unwrap_phase(np.zeros(4))
+    assert len(rc.records()) == 3
+    assert rc.summary() == {"repro.dsp.phase.unwrap_phase": 5}
+    rc.clear_records()
+    assert rc.summary() == {}
+
+
 def test_symbol_bindings_are_consistent_within_one_call(contracts):
     queries = np.zeros((3, 8))
     bank = sliding_windows(np.linspace(0.0, 1.0, 32), 8, 2)

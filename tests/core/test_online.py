@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import ViHOTConfig, ViHOTTracker
 from repro.core.online import OnlineTracker, SampleRing
 from repro.experiments.scenarios import Scenario
 from repro.sensors.camera import CameraTracker
+from repro.serve.loadgen import estimates_identical, synthetic_profile
 
 from tests.conftest import SMALL
 
@@ -175,6 +178,101 @@ def test_push_imu_nonfinite_rejected(small_profile):
     online.push_imu(0.0, 0.1)  # finite reading still accepted
 
 
+def test_push_csi_block_shape_validation(small_profile, runtime_stream):
+    stream, _scene = runtime_stream
+    online = OnlineTracker(small_profile)
+    times = np.asarray(stream.times[:4], dtype=np.float64)
+    with pytest.raises(ValueError, match="block"):
+        online.push_csi(times, stream.csi[0])  # (n_rx, F) CSI for 4 stamps
+    with pytest.raises(ValueError, match="block"):
+        online.push_csi(times[:3], stream.csi[:4])  # stamp/packet count mismatch
+    with pytest.raises(ValueError, match="block"):
+        online.push_csi(times[None, :], stream.csi[:4])  # (1, T) stamps
+    bad = times.copy()
+    bad[2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        online.push_csi(bad, stream.csi[:4])
+    assert online.buffered_samples == 0  # a refused block changes nothing
+
+
+# ------------------------------------------------- block ingest property
+BLOCK_CONFIG = ViHOTConfig(profile_stride=8, num_length_candidates=3)
+BLOCK_PROFILE = synthetic_profile()
+N_SUBCARRIERS = 30
+SEGMENT_KINDS = ("fresh", "stale", "shuffled")
+
+
+def _segment_stream(seed, segments, big):
+    """Blocks of ``(stamps, csi)`` cut from one packet stream.
+
+    ``fresh`` blocks advance the clock; ``stale`` blocks replay stamps at
+    or before the newest one (duplicates included); ``shuffled`` blocks
+    are fresh stamps out of order with duplicates spliced in.  Phases sit
+    near +-pi, so consecutive packets keep crossing the wrap.  ``big``
+    leads with a block longer than the ring's default capacity.
+    """
+    rng = np.random.default_rng(seed)
+    if big:
+        segments = [("fresh", 1100)] + list(segments)
+    clock = 0.0
+    blocks = []
+    for kind, size in segments:
+        fresh = clock + np.cumsum(rng.uniform(0.005, 0.03, size))
+        if kind == "fresh":
+            stamps = fresh
+        elif kind == "stale":
+            stamps = rng.uniform(max(0.0, clock - 0.3), clock, size)
+            stamps[rng.random(size) < 0.3] = clock
+        else:
+            stamps = rng.permutation(fresh)
+            dup = rng.random(size) < 0.25
+            stamps[dup] = np.roll(stamps, 1)[dup]
+        if size:
+            clock = max(clock, float(stamps.max()))
+        phase = np.pi + rng.normal(0.0, 0.5, size)
+        csi = np.empty((size, 2, N_SUBCARRIERS), dtype=np.complex128)
+        csi[:, 0, :] = np.exp(
+            1j * (phase[:, None] + rng.normal(0.0, 0.05, (size, N_SUBCARRIERS)))
+        )
+        csi[:, 1, :] = np.exp(1j * rng.normal(0.0, 0.05, (size, N_SUBCARRIERS)))
+        blocks.append((stamps, csi))
+    return blocks
+
+
+def _assert_same_tracker(block, single):
+    assert np.array_equal(block.phase_series().times, single.phase_series().times)
+    assert np.array_equal(block.phase_series().values, single.phase_series().values)
+    assert block._unwrap_offset == single._unwrap_offset
+    assert block._last_wrapped == single._last_wrapped
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    segments=st.lists(
+        st.tuples(st.sampled_from(SEGMENT_KINDS), st.integers(0, 40)), max_size=10
+    ),
+    big=st.booleans(),
+)
+@example(
+    seed=1,
+    segments=[("fresh", 0), ("fresh", 1), ("fresh", 30), ("stale", 6), ("shuffled", 9)],
+    big=True,
+)
+@example(seed=2, segments=[("stale", 3), ("fresh", 1), ("stale", 1)], big=False)
+def test_block_push_matches_per_packet_push(seed, segments, big):
+    """Any cut of a packet stream into blocks leaves the tracker exactly
+    as pushing the same packets one at a time does."""
+    block = OnlineTracker(BLOCK_PROFILE, BLOCK_CONFIG, buffer_s=3.0)
+    single = OnlineTracker(BLOCK_PROFILE, BLOCK_CONFIG, buffer_s=3.0)
+    for stamps, csi in _segment_stream(seed, segments, big):
+        block.push_csi(stamps, csi)
+        for t, packet in zip(stamps.tolist(), csi):
+            single.push_csi(t, packet)
+        _assert_same_tracker(block, single)
+    assert estimates_identical(block.estimate(), single.estimate())
+
+
 # ----------------------------------------------------------------- ring
 def test_ring_grows_and_stays_ordered():
     ring = SampleRing(capacity=4)
@@ -195,6 +293,42 @@ def test_ring_eviction_then_compaction_reuses_capacity():
     assert ring.capacity == 64
     assert ring.first_time >= 0.01 * 9_999 - 0.3 - 1e-9
     assert ring.last_time == pytest.approx(0.01 * 9_999)
+
+
+def test_ring_extend_grows_past_capacity():
+    ring = SampleRing(capacity=4)
+    ring.extend([0.0, 0.1], [0.0, 1.0])
+    ring.extend((0.1 * np.arange(2, 13)).tolist(), np.arange(2.0, 13.0).tolist())
+    assert len(ring) == 13
+    assert ring.capacity == 16  # doubled until the block fit
+    np.testing.assert_allclose(ring.values(), np.arange(13.0))
+    np.testing.assert_allclose(np.diff(ring.times()), 0.1, atol=1e-12)
+
+
+def test_ring_extend_compacts_after_eviction():
+    ring = SampleRing(capacity=16)
+    ring.extend(np.arange(10.0), np.arange(10.0))
+    assert ring.evict_before(8.0) == 8
+    ring.extend(np.arange(10.0, 18.0), np.arange(10.0, 18.0))
+    # Two live samples plus the block fit once compacted: no growth.
+    assert ring.capacity == 16
+    assert ring.times().tolist() == [8.0, 9.0] + list(np.arange(10.0, 18.0))
+    ring.extend([], [])
+    assert len(ring) == 10
+
+
+def test_ring_extend_matches_appends():
+    blocks = np.split(np.arange(0.0, 9.0, 0.01), [3, 4, 4, 250, 600])
+    extended, appended = SampleRing(capacity=8), SampleRing(capacity=8)
+    for times in blocks:
+        extended.extend(times, 2.0 * times)
+        for t in times.tolist():
+            appended.append(t, 2.0 * t)
+            appended.evict_before(t - 2.0)
+        if len(times):
+            extended.evict_before(times[-1] - 2.0)
+        assert np.array_equal(extended.times(), appended.times())
+        assert np.array_equal(extended.values(), appended.values())
 
 
 def test_ring_views_are_zero_copy():
