@@ -30,8 +30,8 @@ bit-identical results (``tests/serve/test_equivalence.py``).
 from __future__ import annotations
 
 import time
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from collections.abc import Callable, Iterator
 from itertools import groupby
 
 import numpy as np
@@ -42,7 +42,7 @@ from repro.core.profile import CsiProfile
 from repro.core.stages import CameraLike, Estimate
 from repro.core.workloads import HEAD_WORKLOAD
 from repro.serve.batch import BatchedScheduler
-from repro.serve.ingest import IngestQueue, IngestRecord
+from repro.serve.ingest import IngestQueue
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.scheduler import RoundRobinScheduler, TickReport
 from repro.serve.session import (
@@ -56,14 +56,6 @@ from repro.serve.session import (
     SessionStateError,
     TrackedSession,
 )
-
-
-def _shape_runs(records: list[IngestRecord]) -> Iterator[list[IngestRecord]]:
-    """Split one session's drained records into maximal runs of equal
-    CSI shape and dtype, in arrival order: each run stacks into one
-    ``(T, n_rx, F)`` block without changing a single value."""
-    for _key, run in groupby(records, key=lambda r: (r.csi.shape, r.csi.dtype)):
-        yield list(run)
 
 
 def scenario_fingerprint(config: object) -> str:
@@ -400,12 +392,12 @@ class SessionManager:
     def tick(self, max_records: int | None = None) -> ManagerTickReport:
         now = self._clock()
 
-        # 1. Drain the queue into the sessions, one block per run of
-        # equal CSI shape.  Poisoned packets (non-finite CSI or stamps)
-        # are masked out and malformed blocks refused here — counted,
-        # fed to the session's health machine — so one corrupted cabin
-        # stream can never kill the tick or poison a tracker's unwrap
-        # chain.  A block push equals pushing its packets one by one.
+        # 1. Drain the queue into the sessions as blocks.  Poisoned
+        # packets (non-finite CSI or stamps) are masked out and
+        # malformed blocks refused here — counted, fed to the session's
+        # health machine — so one corrupted cabin stream can never kill
+        # the tick or poison a tracker's unwrap chain.  A block push
+        # equals pushing its packets one by one.
         batch = self._queue.drain(max_records)
         ingested = 0
         orphaned = 0
@@ -418,20 +410,19 @@ class SessionManager:
                 continue
             accepted = 0
             bad = 0
-            for run in _shape_runs(records):
+            # A run of equal CSI shape and dtype stacks into one
+            # (T, n_rx, F) block without changing a single value.
+            for _layout, group in groupby(records, key=lambda r: (r.csi.shape, r.csi.dtype)):
+                run = list(group)
                 times = np.array([record.time for record in run], dtype=np.float64)
                 csi = np.stack([record.csi for record in run])
-                finite = np.isfinite(times) & np.isfinite(csi.reshape(len(run), -1)).all(
-                    axis=1
-                )
+                finite = np.isfinite(times) & np.isfinite(csi.reshape(len(run), -1)).all(axis=1)
                 kept = int(np.count_nonzero(finite))
                 bad += len(run) - kept
                 if kept == 0:
                     continue
-                if kept < len(run):
-                    times, csi = times[finite], csi[finite]
                 try:
-                    session.push_csi(times, csi)
+                    session.push_csi(times[finite], csi[finite])
                 except (ValueError, SessionStateError):
                     bad += kept
                     continue

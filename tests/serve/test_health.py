@@ -165,6 +165,7 @@ def test_mixed_reject_paths_in_one_tick(profile):
         (float(cabin.times[3]), wide),  # another (n_rx, F): accepted
         (float("inf"), cabin.csi_at(5)),  # non-finite stamp: rejected
         (float(cabin.times[4]), np.ones(30, dtype=np.complex128)),  # 1-D: rejected
+        (float(cabin.times[5]), np.ones(30, dtype=np.complex128)),  # 1-D: rejected
         (float(cabin.times[4]), NAN_CSI),  # NaN CSI: rejected
         (float(cabin.times[4]), cabin.csi_at(4)),  # finite
         (float(cabin.times[5]), cabin.csi_at(5)),  # finite
@@ -177,16 +178,16 @@ def test_mixed_reject_paths_in_one_tick(profile):
     # Stale stamps count as ingested (the tracker drops them silently);
     # non-finite and malformed records are rejected.
     assert report.ingested == 8
-    assert report.rejected == 5
+    assert report.rejected == 6
     assert report.orphaned == 0
     assert session.packets == 8
-    assert session.rejected_packets == 5
+    assert session.rejected_packets == 6
     counters = manager.metrics_snapshot()["counters"]
     assert counters["packets_ingested"] == 8
-    assert counters["packets_rejected"] == 5
-    # Five faults in one tick: healthy -> degraded -> quarantined.
+    assert counters["packets_rejected"] == 6
+    # Six faults in one tick: healthy -> degraded -> quarantined.
     assert session.health.state == QUARANTINED
-    assert session.health.fault_events == 5
+    assert session.health.fault_events == 6
     assert report.quarantined == ("car-0",)
 
     # The ring holds exactly the fresh, finite, well-formed packets.

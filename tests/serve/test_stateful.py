@@ -53,6 +53,9 @@ CABINS = {
     sid: SyntheticCabin(sid, seed=40 + k, duration_s=80.0, rate_hz=25.0)
     for k, sid in enumerate(SIDS)
 }
+#: Turns antenna 0 by ~pi, so the head sweep keeps crossing the +-pi
+#: wrap and the trackers' unwrap offsets move.
+TURN = np.array([[np.exp(1j * 2.8)], [1.0]])
 NAN_CSI = np.full((2, 30), complex(float("nan"), 0.0), dtype=np.complex128)
 FAULTS = ("nan_csi", "nan_time", "inf_time", "duplicate", "out_of_order", "flat")
 
@@ -144,7 +147,7 @@ class ServingMachine(RuleBasedStateMachine):
             for kind in at.get(j, ()):
                 self._offer(sid, *self._fault(cabin, k, kind))
             if j < n and k < len(cabin):
-                self._offer(sid, float(cabin.times[k]), cabin.csi_at(k))
+                self._offer(sid, float(cabin.times[k]), TURN * cabin.csi_at(k))
                 self.cursor[sid] = k + 1
 
     @precondition(lambda self: bool(self.trackers))
@@ -209,15 +212,16 @@ class ServingMachine(RuleBasedStateMachine):
         t = float(cabin.times[k])
         if kind == "nan_csi":
             return t, NAN_CSI
+        csi = TURN * cabin.csi_at(k)
         if kind == "nan_time":
-            return float("nan"), cabin.csi_at(k)
+            return float("nan"), csi
         if kind == "inf_time":
-            return float("inf"), cabin.csi_at(k)
+            return float("inf"), csi
         if kind == "duplicate":
-            return float(cabin.times[max(k - 1, 0)]), cabin.csi_at(k)
+            return float(cabin.times[max(k - 1, 0)]), csi
         if kind == "out_of_order":
-            return float(cabin.times[max(k - 5, 0)]), cabin.csi_at(k)
-        return t, cabin.csi_at(k)[0]  # "flat": a 1-D record
+            return float(cabin.times[max(k - 5, 0)]), csi
+        return t, csi[0]  # "flat": a 1-D record
 
     # ------------------------------------------------------- invariants
     @invariant()
