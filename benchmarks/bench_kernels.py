@@ -59,12 +59,14 @@ STACKED_WIDE = (8, 150, 40)
 
 #: The matcher's own shapes as ``(name, config, profile samples,
 #: sessions)``: one window against one position's profile at every
-#: candidate length, through the sliding-window banks ``SeriesMatcher``
-#: builds.  ``serve`` is the fleet config (m=20, lengths 10/25/40,
-#: stride 8) on 1,400 profile samples, one session
-#: (``batched_dtw_distance``) and eight stacked (``stacked_dtw_distance``);
-#: ``figure`` is the default config (five lengths, stride 4) on 2,400
-#: samples at W=20 and W=60 (the latter decimated x3 to 20 samples).
+#: candidate length, through the one ``stacked_dtw_distance(...,
+#: lengths=...)`` call ``SeriesMatcher`` makes per position on its
+#: zero-padded bank of the longest length (and, for the ratio, through
+#: the per-length banks it replaced).  ``serve`` is the fleet config
+#: (m=20, lengths 10/25/40, stride 8) on 1,400 profile samples, one
+#: session and eight stacked; ``figure`` is the default config (five
+#: lengths, stride 4) on 2,400 samples at W=20 and W=60 (the latter
+#: decimated x3 to 20 samples).
 _DEFAULT = ViHOTConfig()
 MATCH_SHAPES = (
     ("serve_match_s1", SERVE_CONFIG, 1400, 1),
@@ -91,25 +93,30 @@ def _stacked_inputs(shape=STACKED_SMALL):
 
 
 def _match_inputs(config, samples, stack):
-    """Decimated queries and sliding-window banks, as the matcher builds
-    them for one position of ``samples`` profile samples."""
+    """Decimated queries, the matcher's padded bank with each length's
+    decimated column count, and the per-length banks that bank replaced,
+    for one position of ``samples`` profile samples."""
     rng = np.random.default_rng(3)
     phases = rng.uniform(-np.pi, np.pi, samples)
     window = config.window_samples
     decimation = max(1, -(-window // config.max_query_samples))
     queries = rng.uniform(-np.pi, np.pi, (stack, window))[:, ::decimation]
+    lengths = [int(length) for length in config.candidate_lengths()]
+    stride = config.profile_stride
+    padded = np.concatenate([phases, np.zeros(max(lengths) - min(lengths))])
+    bank = sliding_windows(padded, max(lengths), stride)[:, ::decimation]
+    prefixes = [len(range(0, length, decimation)) for length in lengths]
     banks = [
-        sliding_windows(phases, int(length), config.profile_stride)[:, ::decimation]
-        for length in config.candidate_lengths()
+        sliding_windows(phases, length, stride)[:, ::decimation] for length in lengths
     ]
-    return queries, banks
+    return queries, bank, prefixes, banks
 
 
-def _match_one(query, banks):
-    return [batched_dtw_distance(query, bank, None, "circular") for bank in banks]
+def _match(queries, bank, prefixes):
+    return stacked_dtw_distance(queries, bank, None, "circular", lengths=prefixes)
 
 
-def _match_stacked(queries, banks):
+def _match_per_length(queries, banks):
     return [stacked_dtw_distance(queries, bank, None, "circular") for bank in banks]
 
 
@@ -145,9 +152,11 @@ if pytest is not None:
     def test_serve_match_throughput(benchmark):
         """The matcher's serve shape, eight sessions stacked."""
         _, config, samples, stack = MATCH_SHAPES[1]
-        queries, banks = _match_inputs(config, samples, stack)
-        result = benchmark(_match_stacked, queries, banks)
-        assert [r.shape for r in result] == [(stack, len(bank)) for bank in banks]
+        queries, bank, prefixes, banks = _match_inputs(config, samples, stack)
+        result = benchmark(_match, queries, bank, prefixes)
+        assert result.shape == (len(prefixes), stack, len(bank))
+        for table, want in zip(result, _match_per_length(queries, banks)):
+            assert np.array_equal(table[:, : want.shape[1]], want)
 
     def test_csi_synthesis_throughput(benchmark):
         rng = np.random.default_rng(1)
@@ -235,23 +244,24 @@ def collect(reps: int = 30) -> dict:
         }
 
     # The matcher's shapes: one session's window against every candidate
-    # length's bank (``match_s1``), eight sessions stacked (``match_s8``)
-    # and the figure config's windows; ``per_session_p50_s`` divides by
-    # the sessions one call serves.
+    # length in one call (``match_s1``), eight sessions stacked
+    # (``match_s8``) and the figure config's windows, each against the
+    # per-length loop it replaced; ``per_session_p50_s`` divides by the
+    # sessions one call serves.
     for name, config, samples, stack in MATCH_SHAPES:
-        queries, banks = _match_inputs(config, samples, stack)
-        if stack == 1:
-            stats = _time(lambda: _match_one(queries[0], banks), reps)
-        else:
-            stats = _time(lambda: _match_stacked(queries, banks), reps)
+        queries, bank, prefixes, banks = _match_inputs(config, samples, stack)
+        stats = _time(lambda: _match(queries, bank, prefixes), reps)
+        loop = _time(lambda: _match_per_length(queries, banks), reps)
         kernels[name] = {
             **stats,
             "sessions": stack,
             "query_samples": int(queries.shape[1]),
             "lengths": [int(n) for n in config.candidate_lengths()],
-            "candidates": int(sum(len(bank) for bank in banks)),
+            "candidates": int(sum(len(b) for b in banks)),
             "profile_samples": samples,
             "per_session_p50_s": stats["p50_s"] / stack,
+            "per_length_mean_s": loop["mean_s"],
+            "per_length_speedup": loop["mean_s"] / stats["mean_s"],
         }
 
     rng = np.random.default_rng(1)
@@ -312,6 +322,8 @@ def main(argv=None) -> int:
         if "batch_speedup" in stats:
             line += (f" (x{stats['stack']} stacked, "
                      f"{stats['batch_speedup']:.2f}x vs loop)")
+        if "per_length_speedup" in stats:
+            line += f" ({stats['per_length_speedup']:.2f}x vs per-length loop)"
         print(line)
     if args.json:
         Path(args.json).write_text(json.dumps(payload, indent=2))

@@ -39,6 +39,8 @@ from __future__ import annotations
 import functools
 import inspect
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import ModuleType
 from typing import Any, Callable
@@ -55,6 +57,7 @@ __all__ = [
     "active",
     "clear_records",
     "deactivate",
+    "isolated_records",
     "records",
     "summary",
 ]
@@ -338,6 +341,21 @@ def records() -> tuple[ObservedCall, ...]:
 def clear_records() -> None:
     del _RECORDS[:]
     _CALLS.clear()
+
+
+@contextmanager
+def isolated_records() -> Iterator[None]:
+    """Run a block from no records and counts, then put the earlier ones
+    back, so a test inspecting its own crossings leaves the session-wide
+    :func:`summary` of ``pytest --runtime-contracts`` intact."""
+    saved_records, saved_calls = list(_RECORDS), dict(_CALLS)
+    clear_records()
+    try:
+        yield
+    finally:
+        clear_records()
+        _RECORDS.extend(saved_records)
+        _CALLS.update(saved_calls)
 
 
 def summary() -> dict[str, int]:

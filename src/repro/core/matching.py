@@ -8,9 +8,11 @@ is non-injective), so ViHOT matches the whole windowed phase series
 1. enumerate candidate match lengths ``L_n in [0.5 W, 2 W]`` (the head may
    have turned faster or slower than during profiling);
 2. for each length, DTW-match ``Phi_r`` against every profile segment of
-   that length (vectorised in one ``stacked_dtw_distance`` call, which
-   also stacks the same-shape windows of a fleet; one window is a stack
-   of one);
+   that length.  Every length starts at the same profile offsets, so one
+   ``stacked_dtw_distance(..., lengths=...)`` call per profile position
+   runs one DP over segments of the longest length and reads each
+   shorter length off it; that call also stacks the same-shape windows
+   of a fleet (one window is a stack of one);
 3. take the globally best segment ``Phi*_m``; its last sample's
    ground-truth orientation is the estimate, and ``L_m / W`` is the
    profiling-to-runtime speed ratio the forecaster reuses (Sec. 3.4.6).
@@ -19,7 +21,7 @@ is non-injective), so ViHOT matches the whole windowed phase series
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 import math
 
 import numpy as np
@@ -101,9 +103,14 @@ class SeriesMatcher:
     ) -> list[MatchResult]:
         """Alg. 1 for ``S`` same-length queries at one estimated position.
 
-        Every neighbour position and candidate length costs one
-        :func:`stacked_dtw_distance` call over the whole group; the
-        selection then runs per query: the first lowest distance over
+        Every neighbour position costs one :func:`stacked_dtw_distance`
+        call over the whole group: its bank holds the windows of the
+        longest fitting length over the position's phases with
+        ``max - min`` fitting length zeros appended, and ``lengths``
+        reads every fitting length off that one DP, each row cut to the
+        length's own offsets.  A Sakoe-Chiba band rescales with the
+        length, so a banded config makes one call per length instead.
+        The selection then runs per query: the first lowest distance over
         positions, lengths and offsets (in that order) wins, a query
         with a continuity prior keeps the best feasible candidate, and
         the unconstrained winner replaces that one when its distance is
@@ -125,23 +132,47 @@ class SeriesMatcher:
         best_feasible: list[MatchResult | None] = [None] * n_stack
         lo = max(0, position_index - config.neighbor_positions)
         hi = min(len(self._profile), position_index + config.neighbor_positions + 1)
+        stride = config.profile_stride
         for index in range(lo, hi):
             position = self._profile[index]
-            for length in config.candidate_lengths():
-                if length > len(position.phases):
-                    continue
-                candidates = sliding_windows(
-                    position.phases, int(length), config.profile_stride
+            n_samples = len(position.phases)
+            lengths = [
+                int(length)
+                for length in config.candidate_lengths()
+                if length <= n_samples
+            ]
+            if not lengths:
+                continue
+            longest = max(lengths)
+            if config.dtw_band is None:
+                # Each length's windows are the first columns of the
+                # longest length's windows at the same offsets, so one DP
+                # serves them all.  The zeros let the shortest length's
+                # last offsets exist; they feed only cells past the
+                # profile's end, which no kept (offset, length) reads.
+                padded = np.concatenate(
+                    [position.phases, np.zeros(longest - min(lengths))]
                 )
-                ends = (
-                    np.arange(len(candidates)) * config.profile_stride + int(length) - 1
-                )
-                distances = stacked_dtw_distance(
+                tables: Iterable[np.ndarray] = stacked_dtw_distance(
                     decimated,
-                    candidates[:, ::decimation],
-                    band=config.dtw_band,
+                    sliding_windows(padded, longest, stride)[:, ::decimation],
                     metric="circular",
+                    lengths=[len(range(0, length, decimation)) for length in lengths],
                 )
+            else:
+                # A band rescales with the length: one DP per length.
+                tables = [
+                    stacked_dtw_distance(
+                        decimated,
+                        sliding_windows(position.phases, length, stride)[:, ::decimation],
+                        band=config.dtw_band,
+                        metric="circular",
+                    )
+                    for length in lengths
+                ]
+            for length, table in zip(lengths, tables):
+                distances = table[:, : (n_samples - length) // stride + 1]
+                ends = np.arange(distances.shape[1]) * stride + length - 1
                 orientations = position.orientations[ends]
                 for s, row in enumerate(distances):
                     # The unconstrained and the continuity-feasible
@@ -162,8 +193,8 @@ class SeriesMatcher:
                                 orientation=float(orientations[k]),
                                 distance=float(row[k]),
                                 position_index=index,
-                                start_index=int(ends[k]) - int(length) + 1,
-                                length=int(length),
+                                start_index=int(ends[k]) - length + 1,
+                                length=length,
                                 speed_ratio=float(length) / m,
                             )
         results: list[MatchResult] = []
@@ -230,7 +261,8 @@ class SeriesMatcher:
 
         Queries are grouped by ``(length, position_index)`` and each
         group is matched in one pass, one stacked DTW call per neighbour
-        position and candidate length — the fleet-batching win.  The
+        position (per position and candidate length under a band) —
+        the fleet-batching win.  The
         selection stays per query, so entry ``i`` is bit-identical to
         ``match(queries[i], position_indices[i], centers[i],
         tolerances[i])``.

@@ -25,7 +25,11 @@ candidate segment of the CSI profile, for a range of candidate lengths
     ``S`` serving sessions run the same match stage on same-shape windows,
     one stacked call replaces ``S`` python-level DP loops.  Bit-identical
     to looping :func:`batched_dtw_distance` over the sessions (the DP is
-    elementwise over the stacked axes).
+    elementwise over the stacked axes).  With ``lengths`` it also reads
+    every candidate length off that one DP: the distance of a window's
+    first ``n`` samples is row ``m`` of the sweep at diagonal ``m + n``,
+    so the matcher's one bank of the longest length at a profile
+    position serves every shorter length at the same offsets.
 
 Both batch kernels share one implementation.  A call builds one cost
 table, ``cost(query[i], x[p])`` for every query sample and every profile
@@ -34,9 +38,9 @@ cell: the matcher's overlapping sliding windows read the same profile
 samples many times over.  The DP reads every cell from that table through
 zero-copy strided views and keeps only the two live anti-diagonals.
 Memory is the ``(m, span, S)`` table (``span`` is at most ``B*L``
-samples, ~1,400 for a matcher bank) plus three ``(m+1, B, S)`` diagonals;
-nothing scales with ``B*L`` times ``m`` except a bank that has to be
-copied (see :func:`_bank_series`).
+samples, ~1,400 for a matcher bank) plus three ``(m+1, B, S)`` diagonals
+and the ``(K, S, B)`` result; nothing scales with ``B*L`` times ``m``
+except a bank that has to be copied (see :func:`_bank_series`).
 
 Distances are normalised by ``len(a) + len(b)`` so that candidates of
 different lengths compete fairly in the length search.
@@ -49,6 +53,8 @@ when a series crosses the +-pi seam.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -238,9 +244,14 @@ def _band_rows(m: int, length: int, band: int) -> tuple[list[int], list[int]]:
 
 
 def _profile_table_dtw(
-    queries: np.ndarray, banks: np.ndarray, band: int | None, metric: str
+    queries: np.ndarray,
+    banks: np.ndarray,
+    band: int | None,
+    metric: str,
+    lengths: tuple[int, ...],
 ) -> np.ndarray:
-    """Normalised DTW distances ``(S, B)`` of ``queries`` against ``banks``.
+    """Normalised DTW distances ``(K, S, B)`` of ``queries`` against
+    the first ``n`` columns of ``banks``, for each ``n`` in ``lengths``.
 
     ``queries`` is ``(S, m)``; ``banks`` is ``(S', B, L)`` with ``S'`` in
     ``{1, S}``.  One cost table over the span of profile samples the bank
@@ -250,7 +261,10 @@ def _profile_table_dtw(
     diagonal's step costs are one strided slice ``(rows, B, S)``.  The
     DP keeps the two live diagonals ``(m+1, B, S)`` with the query axis
     innermost, and every min/add runs in the classic operand order, so
-    the result is bit-identical to the full-table DP.
+    the result is bit-identical to the full-table DP.  A cell never
+    reads a later column, so ``dp[m, n]`` is the prefix's distance: the
+    sweep reads it as it passes diagonal ``m + n`` and stops at the
+    longest ``n``.
     """
     n_stack, m = queries.shape
     n_batch, length = banks.shape[1:]
@@ -258,6 +272,10 @@ def _profile_table_dtw(
     table = _cost_table(queries, series, metric)
     if band is not None:
         first, stop = _band_rows(m, length, band)
+    reads: dict[int, list[int]] = {}
+    for index, n in enumerate(lengths):
+        reads.setdefault(m + n, []).append(index)
+    out = np.empty((len(lengths), n_stack, n_batch), dtype=np.float64)
     span = table.shape[1]
     unit = n_stack * table.itemsize
     # skew[k, r, b, q] = table[r, b*s + (k - r)*d, q].  Every stride is
@@ -278,7 +296,7 @@ def _profile_table_dtw(
     prev = np.full((m + 1, n_batch, n_stack), _INF)  # diagonal k-1
     cur = np.full((m + 1, n_batch, n_stack), _INF)  # diagonal k (reused)
     prev2[0] = 0.0  # dp[0, 0]
-    for k in range(2, m + length + 1):
+    for k in range(2, max(reads) + 1):
         lo = max(1, k - length)
         hi = min(m, k - 1)
         best = cur[lo : hi + 1]
@@ -293,10 +311,12 @@ def _profile_table_dtw(
             np.add(skew[k - 2, a:b], cur[a + 1 : b + 1], out=cur[a + 1 : b + 1])
             np.add(_INF, cur[lo : a + 1], out=cur[lo : a + 1])
             np.add(_INF, cur[b + 1 : hi + 1], out=cur[b + 1 : hi + 1])
+        for index in reads.get(k, ()):
+            np.divide(cur[m].T, k, out=out[index])  # dp[m, k - m] / (m + n)
         if k == 2:
             prev2[0] = _INF  # this buffer holds diagonal 3 next
         prev2, prev, cur = prev, cur, prev2
-    return np.ascontiguousarray(prev[m].T) / (m + length)
+    return out
 
 
 def batched_dtw_distance(
@@ -328,7 +348,9 @@ def batched_dtw_distance(
         )
     if len(candidates) == 0:
         return np.zeros(0)
-    return _profile_table_dtw(query[None, :], candidates[None], band, metric)[0]
+    return _profile_table_dtw(
+        query[None, :], candidates[None], band, metric, (candidates.shape[1],)
+    )[0, 0]
 
 
 def stacked_dtw_distance(
@@ -336,6 +358,7 @@ def stacked_dtw_distance(
     candidates: np.ndarray,
     band: int | None = None,
     metric: str = "abs",
+    lengths: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Normalised DTW distances for a stack of queries in one DP.
 
@@ -348,6 +371,15 @@ def stacked_dtw_distance(
     ``batched_dtw_distance(queries[s], candidates[s], band, metric)``
     because the anti-diagonal DP is elementwise over the stacked axes.
 
+    ``lengths`` reads several candidate lengths off the same DP: entry
+    ``i`` of the ``(K, S, B)`` result is the distance of each
+    candidate's first ``lengths[i]`` columns, bit-identical to a call on
+    ``candidates[..., :lengths[i]]``.  No DP cell reads a later column,
+    so each distance is row ``m`` of the sweep as it passes diagonal
+    ``m + n``, divided by ``m + n``; the default is the ``lengths=(L,)``
+    case without the leading axis.  A Sakoe-Chiba band rescales with
+    the length, so a band with any ``n < L`` raises.
+
     Memory is an ``(m, span, S)`` cost table plus three ``(m+1, B, S)``
     DP diagonals.  ``span`` is the profile samples a shared
     sliding-window bank covers (~1,400 at serve shapes, whatever ``B``
@@ -355,7 +387,7 @@ def stacked_dtw_distance(
 
     :shape queries: (S, m)
     :shape candidates: (B, L) | (S, B, L)
-    :shape return: (S, B)
+    :shape return: (S, B) | (K, S, B)
     :dtype return: float64
     """
     queries = np.asarray(queries, dtype=np.float64)
@@ -378,9 +410,16 @@ def stacked_dtw_distance(
         raise ValueError(
             f"candidates must have shape (B, L) or (S, B, L), got {candidates.shape}"
         )
-    if banks.shape[-1] == 0:
+    n_batch, length = banks.shape[1:]
+    if length == 0:
         raise ValueError(f"candidates must have L > 0, got {candidates.shape}")
-    n_batch = banks.shape[-2]
+    prefixes = (length,) if lengths is None else tuple(map(operator.index, lengths))
+    if not prefixes or not all(1 <= n <= length for n in prefixes):
+        raise ValueError(f"lengths must be non-empty, each in [1, {length}], got {lengths}")
+    if band is not None and min(prefixes) < length:
+        raise ValueError(f"a band needs every length equal to L={length}, got {lengths}")
     if n_stack == 0 or n_batch == 0:
-        return np.zeros((n_stack, n_batch))
-    return _profile_table_dtw(queries, banks, band, metric)
+        out = np.zeros((len(prefixes), n_stack, n_batch))
+    else:
+        out = _profile_table_dtw(queries, banks, band, metric, prefixes)
+    return out[0] if lengths is None else out

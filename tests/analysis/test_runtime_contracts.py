@@ -22,16 +22,16 @@ def contract_slate():
 
     The suite may itself be running under ``--runtime-contracts``
     (session-wide wrappers); these tests manage activation by hand, so
-    start from a deactivated slate and restore whatever was in place.
+    start from a deactivated slate with no records and restore whatever
+    was in place, the session's records and counts included.
     """
     was_active = rc.active()
     rc.deactivate()
-    rc.clear_records()
     try:
-        yield rc
+        with rc.isolated_records():
+            yield rc
     finally:
         rc.deactivate()
-        rc.clear_records()
         if was_active:
             rc.activate()
 
@@ -99,6 +99,25 @@ def test_symbol_bindings_are_consistent_within_one_call(contracts):
     bound = dict(record.bindings)
     assert bound["S"] == 3 and bound["B"] == len(bank) and bound["L"] == 8
     assert distances.shape == (3, len(bank))
+    # Prefix lengths return the (K, S, B) alternative.
+    tables = stacked_dtw_distance(queries, stacked, lengths=[2, 5, 8])
+    record = [r for r in rc.records() if r.boundary.endswith("stacked_dtw_distance")][-1]
+    assert dict(record.bindings)["K"] == 3
+    assert tables.shape == (3, 3, len(bank))
+
+
+def test_isolated_records_restore_the_session_records(contract_slate):
+    """A block run in isolation starts empty and leaves the records and
+    counts made before it as they were (the session-wide summary)."""
+    contract_slate.activate()
+    sliding_windows(np.zeros(5), 2)
+    before = (rc.records(), rc.summary())
+    with rc.isolated_records():
+        assert rc.records() == () and rc.summary() == {}
+        unwrap_phase(np.zeros(4))
+        assert rc.summary() == {"repro.dsp.phase.unwrap_phase": 1}
+    assert (rc.records(), rc.summary()) == before
+    assert before[1] == {"repro.dsp.windows.sliding_windows": 1}
 
 
 def test_kernel_validation_errors_propagate_unchecked(contracts):

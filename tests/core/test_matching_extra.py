@@ -1,11 +1,18 @@
 """Additional matcher tests: bands, decimation, determinism."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.config import ViHOTConfig
-from repro.core.matching import SeriesMatcher
+from repro.core.matching import MatchResult, SeriesMatcher
 from repro.core.profile import CsiProfile, PositionProfile
+from repro.dsp.dtw import stacked_dtw_distance
+from repro.dsp.phase import wrap_phase
+from repro.dsp.windows import sliding_windows
+from repro.scenarios.runner import SERVE_CONFIG
 
 
 RATE = 200.0
@@ -79,3 +86,109 @@ def test_length_candidates_all_usable_on_short_profile():
     q = query_at(short, 60)
     result = matcher.match(q, 0)
     assert result.length <= 100
+
+
+# ----------------------------------------------------------------------
+# One DP per position serves every candidate length: bit-identity against
+# one stacked_dtw_distance call per position and length
+# ----------------------------------------------------------------------
+def _per_length_reference(profile, config, query, position_index, center, tolerance):
+    """``SeriesMatcher.match`` with one ``stacked_dtw_distance`` call per
+    neighbour position and candidate length, each on its own bank."""
+    query = wrap_phase(np.asarray(query, dtype=np.float64))
+    m = len(query)
+    decimation = max(1, -(-m // config.max_query_samples))
+    best = {"global": None, "feasible": None}
+    lo = max(0, position_index - config.neighbor_positions)
+    hi = min(len(profile), position_index + config.neighbor_positions + 1)
+    for index in range(lo, hi):
+        position = profile[index]
+        for length in map(int, config.candidate_lengths()):
+            if length > len(position.phases):
+                continue
+            bank = sliding_windows(position.phases, length, config.profile_stride)
+            row = stacked_dtw_distance(
+                query[None, ::decimation],
+                bank[:, ::decimation],
+                band=config.dtw_band,
+                metric="circular",
+            )[0]
+            ends = np.arange(len(bank)) * config.profile_stride + length - 1
+            orientations = position.orientations[ends]
+            scored = {"global": row}
+            if center is not None:
+                feasible = np.abs(orientations - center) <= tolerance
+                if feasible.any():
+                    scored["feasible"] = np.where(feasible, row, np.inf)
+            for kind, values in scored.items():
+                k = int(np.argmin(values))
+                if best[kind] is None or values[k] < best[kind].distance:
+                    best[kind] = MatchResult(
+                        float(orientations[k]),
+                        float(row[k]),
+                        index,
+                        int(ends[k]) - length + 1,
+                        length,
+                        length / m,
+                    )
+    found, feasible = best["global"], best["feasible"]
+    if feasible is None or found.distance < config.escape_ratio * feasible.distance:
+        return found
+    return feasible
+
+
+def _three_positions():
+    """A long, a short (30 samples) and a seam-crossing position."""
+    profile = CsiProfile()
+    for offset, duration_s in ((0.0, 8.0), (1.1, 0.15), (2.9, 3.0)):
+        position = make_profile(duration_s)[0]
+        profile.add(
+            PositionProfile(offset, RATE, position.phases + offset, position.orientations, 0.0)
+        )
+    return profile
+
+
+IDENTITY_CONFIGS = {
+    "serve": SERVE_CONFIG,
+    "default": ViHOTConfig(),
+    "decimated": ViHOTConfig(window_s=0.3),
+    "neighbors": ViHOTConfig(neighbor_positions=1),
+    "band": ViHOTConfig(dtw_band=10),
+}
+
+#: Continuity priors: none, feasible near the truth, a wrong branch the
+#: escape can leave, and one no candidate satisfies.
+PRIORS = ((None, math.inf), (0.3, 0.4), (-0.9, 0.2), (5.0, 0.1))
+
+
+@pytest.mark.parametrize("config_name", sorted(IDENTITY_CONFIGS))
+@pytest.mark.parametrize(
+    "make",
+    [_three_positions, lambda: make_profile(0.15), lambda: make_profile(0.5)],
+    ids=["three_positions", "short_30", "short_100"],
+)
+def test_match_bit_identical_to_per_length_calls(config_name, make):
+    """``match`` and ``match_many`` equal the per-length loop exactly, on
+    profiles where every, some or only one candidate length fits."""
+    config = IDENTITY_CONFIGS[config_name]
+    profile = make()
+    matcher = SeriesMatcher(profile, config)
+    curve = make_profile()[0].phases
+    rng = np.random.default_rng(5)
+    window = config.window_samples
+    queries = [
+        curve[end - m + 1 : end + 1] + rng.normal(0, 0.03, m)
+        for m in (window, window + 5)
+        for end in (300, 777, 1203)
+    ] + [rng.uniform(-np.pi, np.pi, window)]
+    cases = [
+        (query, i % len(profile), center, tolerance)
+        for i, query in enumerate(queries)
+        for center, tolerance in PRIORS
+    ]
+    want = [_per_length_reference(profile, config, *case) for case in cases]
+    got = [matcher.match(*case) for case in cases]
+    many = matcher.match_many(*map(list, zip(*cases)))
+    for expected, single, batched in zip(want, got, many):
+        assert dataclasses.astuple(single) == dataclasses.astuple(expected)
+        assert dataclasses.astuple(batched) == dataclasses.astuple(expected)

@@ -208,13 +208,15 @@ def test_two_diagonal_dp_bit_identical_to_full_table(band, metric):
     band=st.one_of(st.none(), st.integers(0, 6)),
     metric=st.sampled_from(["abs", "circular"]),
     seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
 )
 @settings(max_examples=80, deadline=None)
 def test_matcher_banks_bit_identical(
-    m, length, extra, stride, decimation, band, metric, seed
+    m, length, extra, stride, decimation, band, metric, seed, data
 ):
     """``sliding_windows(phases, L, stride)[:, ::decimation]`` banks, as
-    the matcher builds them, over every stride and decimation."""
+    the matcher builds them, over every stride and decimation; without a
+    band, prefix lengths read off one ``lengths=`` call as well."""
     rng = np.random.default_rng(seed)
     phases = _phases(rng, length + extra, ties=seed % 2 == 0)
     bank = sliding_windows(phases, length, stride)[:, ::decimation]
@@ -227,6 +229,18 @@ def test_matcher_banks_bit_identical(
         assert np.array_equal(
             stacked[s], batched_dtw_distance(queries[s], bank, band, metric)
         )
+    if band is None:
+        columns = bank.shape[1]
+        prefixes = data.draw(
+            st.lists(st.integers(1, columns), min_size=1, max_size=columns).map(sorted)
+        )
+        tables = stacked_dtw_distance(queries, bank, None, metric, lengths=prefixes)
+        assert tables.shape == (len(prefixes),) + stacked.shape
+        for n, table in zip(prefixes, tables):
+            assert np.array_equal(table, stacked_dtw_distance(queries, bank[:, :n], None, metric))
+            assert np.array_equal(
+                table[0], _full_table_batched_reference(queries[0], bank[:, :n], None, metric)
+            )
 
 
 _PI_ULP_INSIDE = np.nextafter(np.pi, 0.0)
@@ -344,6 +358,45 @@ def test_stacked_shape_validation():
         stacked_dtw_distance(np.zeros((2, 5)), np.zeros((2, 3, 4)), band=-1)
     assert stacked_dtw_distance(np.zeros((0, 5)), np.zeros((3, 4))).shape == (0, 3)
     assert stacked_dtw_distance(np.zeros((2, 5)), np.zeros((0, 4))).shape == (2, 0)
+    # Prefix lengths: each in [1, L], and a band only at n = L.
+    bank = np.zeros((3, 4))
+    for bad in ([0], [2, 0], [5], [1, 5], []):
+        with pytest.raises(ValueError):
+            stacked_dtw_distance(np.zeros((2, 5)), bank, lengths=bad)
+    with pytest.raises(ValueError):
+        stacked_dtw_distance(np.zeros((2, 5)), bank, band=2, lengths=[3, 4])
+    assert stacked_dtw_distance(np.zeros((2, 5)), bank, band=2, lengths=[4]).shape == (
+        1, 2, 3
+    )
+    for queries, candidates, shape in (
+        (np.zeros((0, 5)), bank, (2, 0, 3)),
+        (np.zeros((2, 5)), np.zeros((0, 4)), (2, 2, 0)),
+        (np.zeros((2, 5)), np.zeros((2, 0, 4)), (2, 2, 0)),
+    ):
+        empty = stacked_dtw_distance(queries, candidates, lengths=[1, 4])
+        assert empty.shape == shape and not empty.any()
+
+
+def test_stacked_lengths_every_bank_layout():
+    """Prefix lengths off one DP equal separate calls on the prefixes, on
+    shared and per-query banks of every layout, with repeated lengths."""
+    rng = np.random.default_rng(37)
+    for ties in (False, True):
+        queries = _phases(rng, (3, 9), ties)
+        for name, bank in _bank_kinds(rng, 14, ties).items():
+            per_query = np.stack([bank[::-1], bank, bank[:, ::-1]])
+            for stack in (bank, per_query):
+                for metric in ("abs", "circular"):
+                    prefixes = [1, 5, 5, 13, 14]
+                    tables = stacked_dtw_distance(
+                        queries, stack, None, metric, lengths=prefixes
+                    )
+                    for n, table in zip(prefixes, tables):
+                        want = stacked_dtw_distance(queries, stack[..., :n], None, metric)
+                        assert np.array_equal(table, want), (name, ties, n)
+                    assert np.array_equal(
+                        tables[-1], stacked_dtw_distance(queries, stack, None, metric)
+                    )
 
 
 def test_stacked_degenerate_axis_sizes():
