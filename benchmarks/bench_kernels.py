@@ -26,11 +26,11 @@ from pathlib import Path
 from time import perf_counter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.config import ViHOTConfig
 from repro.core.sanitize import sanitize_stream, sanitize_streams
 from repro.dsp.dtw import batched_dtw_distance, stacked_dtw_distance
-from repro.dsp.windows import sliding_windows
 from repro.rf.multipath import synthesize_csi
 from repro.scenarios.runner import SERVE_CONFIG
 
@@ -58,22 +58,28 @@ STACKED_SMALL = (16, 40, 25)  # (stack, candidates, candidate length)
 STACKED_WIDE = (8, 150, 40)
 
 #: The matcher's own shapes as ``(name, config, profile samples,
-#: sessions)``: one window against one position's profile at every
+#: sessions, positions)``: windows against profile positions at every
 #: candidate length, through the one ``stacked_dtw_distance(...,
-#: lengths=...)`` call ``SeriesMatcher`` makes per position on its
-#: zero-padded bank of the longest length (and, for the ratio, through
-#: the per-length banks it replaced).  ``serve`` is the fleet config
-#: (m=20, lengths 10/25/40, stride 8) on 1,400 profile samples, one
-#: session and eight stacked; ``figure`` is the default config (five
-#: lengths, stride 4) on 2,400 samples at W=20 and W=60 (the latter
-#: decimated x3 to 20 samples).
+#: lengths=...)`` call ``SeriesMatcher`` makes on zero-padded banks of
+#: the longest length (and, for the ratio, through the per-length banks
+#: it replaced).  One position is one ``(B, L)`` bank shared by the
+#: stack; more positions give session ``s`` position ``s % positions``
+#: and a per-row ``(S, B, L)`` bank, the matcher's call over mixed
+#: positions.  ``serve`` is the fleet config (m=20, lengths 10/25/40,
+#: stride 8) on 1,400 samples per position: one, two, four and eight
+#: sessions at one position, and eight over four positions; ``figure``
+#: is the default config (five lengths, stride 4) on 2,400 samples at
+#: W=20 and W=60 (the latter decimated x3 to 20 samples).
 _DEFAULT = ViHOTConfig()
 MATCH_SHAPES = (
-    ("serve_match_s1", SERVE_CONFIG, 1400, 1),
-    ("serve_match_s8", SERVE_CONFIG, 1400, 8),
-    ("figure_match_w20", _DEFAULT, 2400, 1),
+    ("serve_match_s1", SERVE_CONFIG, 1400, 1, 1),
+    ("serve_match_s2", SERVE_CONFIG, 1400, 2, 1),
+    ("serve_match_s4", SERVE_CONFIG, 1400, 4, 1),
+    ("serve_match_s8", SERVE_CONFIG, 1400, 8, 1),
+    ("serve_match_mixed8", SERVE_CONFIG, 1400, 8, 4),
+    ("figure_match_w20", _DEFAULT, 2400, 1, 1),
     ("figure_match_w60",
-     dataclasses.replace(_DEFAULT, window_s=3 * _DEFAULT.window_s), 2400, 1),
+     dataclasses.replace(_DEFAULT, window_s=3 * _DEFAULT.window_s), 2400, 1, 1),
 )
 
 
@@ -92,22 +98,30 @@ def _stacked_inputs(shape=STACKED_SMALL):
     return queries, candidates
 
 
-def _match_inputs(config, samples, stack):
+def _match_inputs(config, samples, stack, positions=1):
     """Decimated queries, the matcher's padded bank with each length's
     decimated column count, and the per-length banks that bank replaced,
-    for one position of ``samples`` profile samples."""
+    for ``positions`` profile positions of ``samples`` samples each."""
     rng = np.random.default_rng(3)
-    phases = rng.uniform(-np.pi, np.pi, samples)
+    phases = rng.uniform(-np.pi, np.pi, (positions, samples))
     window = config.window_samples
     decimation = max(1, -(-window // config.max_query_samples))
     queries = rng.uniform(-np.pi, np.pi, (stack, window))[:, ::decimation]
     lengths = [int(length) for length in config.candidate_lengths()]
     stride = config.profile_stride
-    padded = np.concatenate([phases, np.zeros(max(lengths) - min(lengths))])
-    bank = sliding_windows(padded, max(lengths), stride)[:, ::decimation]
+    padded = np.concatenate(
+        [phases, np.zeros((positions, max(lengths) - min(lengths)))], axis=1
+    )
+    if positions == 1:
+        padded, phases = padded[0], phases[0]
+    else:
+        owners = np.arange(stack) % positions
+        padded, phases = padded[owners], phases[owners]
+    bank = sliding_window_view(padded, max(lengths), axis=-1)[..., ::stride, ::decimation]
     prefixes = [len(range(0, length, decimation)) for length in lengths]
     banks = [
-        sliding_windows(phases, length, stride)[:, ::decimation] for length in lengths
+        sliding_window_view(phases, length, axis=-1)[..., ::stride, ::decimation]
+        for length in lengths
     ]
     return queries, bank, prefixes, banks
 
@@ -149,12 +163,16 @@ if pytest is not None:
         )
         assert result.shape == (STACKED_SMALL[0], STACKED_SMALL[1])
 
-    def test_serve_match_throughput(benchmark):
-        """The matcher's serve shape, eight sessions stacked."""
-        _, config, samples, stack = MATCH_SHAPES[1]
-        queries, bank, prefixes, banks = _match_inputs(config, samples, stack)
+    @pytest.mark.parametrize("name", ["serve_match_s8", "serve_match_mixed8"])
+    def test_serve_match_throughput(benchmark, name):
+        """The matcher's serve shape, eight sessions stacked at one
+        position and over four."""
+        _, config, samples, stack, positions = next(
+            shape for shape in MATCH_SHAPES if shape[0] == name
+        )
+        queries, bank, prefixes, banks = _match_inputs(config, samples, stack, positions)
         result = benchmark(_match, queries, bank, prefixes)
-        assert result.shape == (len(prefixes), stack, len(bank))
+        assert result.shape == (len(prefixes), stack, bank.shape[-2])
         for table, want in zip(result, _match_per_length(queries, banks)):
             assert np.array_equal(table[:, : want.shape[1]], want)
 
@@ -244,20 +262,22 @@ def collect(reps: int = 30) -> dict:
         }
 
     # The matcher's shapes: one session's window against every candidate
-    # length in one call (``match_s1``), eight sessions stacked
-    # (``match_s8``) and the figure config's windows, each against the
-    # per-length loop it replaced; ``per_session_p50_s`` divides by the
-    # sessions one call serves.
-    for name, config, samples, stack in MATCH_SHAPES:
-        queries, bank, prefixes, banks = _match_inputs(config, samples, stack)
+    # length in one call (``match_s1``), two to eight sessions stacked at
+    # one position (``match_s2/s4/s8``) and over four (``match_mixed8``)
+    # and the figure config's windows, each against the per-length loop
+    # it replaced; ``per_session_p50_s`` divides by the sessions one call
+    # serves.
+    for name, config, samples, stack, positions in MATCH_SHAPES:
+        queries, bank, prefixes, banks = _match_inputs(config, samples, stack, positions)
         stats = _time(lambda: _match(queries, bank, prefixes), reps)
         loop = _time(lambda: _match_per_length(queries, banks), reps)
         kernels[name] = {
             **stats,
             "sessions": stack,
+            "positions": positions,
             "query_samples": int(queries.shape[1]),
             "lengths": [int(n) for n in config.candidate_lengths()],
-            "candidates": int(sum(len(b) for b in banks)),
+            "candidates": int(sum(b.shape[-2] for b in banks)),
             "profile_samples": samples,
             "per_session_p50_s": stats["p50_s"] / stack,
             "per_length_mean_s": loop["mean_s"],

@@ -9,10 +9,11 @@ is non-injective), so ViHOT matches the whole windowed phase series
    have turned faster or slower than during profiling);
 2. for each length, DTW-match ``Phi_r`` against every profile segment of
    that length.  Every length starts at the same profile offsets, so one
-   ``stacked_dtw_distance(..., lengths=...)`` call per profile position
-   runs one DP over segments of the longest length and reads each
-   shorter length off it; that call also stacks the same-shape windows
-   of a fleet (one window is a stack of one);
+   DP over segments of the longest length reads each shorter length off
+   it, and one ``stacked_dtw_distance(..., lengths=...)`` call stacks
+   that DP for every (window, neighbour position) pair of a fleet's
+   same-length windows, whatever their positions (one window is a
+   stack of one);
 3. take the globally best segment ``Phi*_m``; its last sample's
    ground-truth orientation is the estimate, and ``L_m / W`` is the
    profiling-to-runtime speed ratio the forecaster reuses (Sec. 3.4.6).
@@ -25,12 +26,12 @@ from collections.abc import Iterable, Sequence
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.config import ViHOTConfig
 from repro.core.profile import CsiProfile
 from repro.dsp.dtw import stacked_dtw_distance
 from repro.dsp.phase import wrap_phase
-from repro.dsp.windows import sliding_windows
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,7 @@ class SeriesMatcher:
             raise ValueError("cannot match against an empty profile")
         self._profile = profile
         self._config = config if config is not None else ViHOTConfig()
+        self._lengths = [int(length) for length in self._config.candidate_lengths()]
 
     @property
     def config(self) -> ViHOTConfig:
@@ -97,20 +99,24 @@ class SeriesMatcher:
     def _match_group(
         self,
         queries: np.ndarray,
-        position_index: int,
+        position_indices: Sequence[int],
         centers: Sequence[float | None],
         tolerances: Sequence[float],
     ) -> list[MatchResult]:
-        """Alg. 1 for ``S`` same-length queries at one estimated position.
+        """Alg. 1 for ``S`` same-length queries, each at its own estimated
+        position.
 
-        Every neighbour position costs one :func:`stacked_dtw_distance`
-        call over the whole group: its bank holds the windows of the
-        longest fitting length over the position's phases with
-        ``max - min`` fitting length zeros appended, and ``lengths``
-        reads every fitting length off that one DP, each row cut to the
-        length's own offsets.  A Sakoe-Chiba band rescales with the
-        length, so a banded config makes one call per length instead.
-        The selection then runs per query: the first lowest distance over
+        The group costs one :func:`stacked_dtw_distance` call with one
+        row per query and neighbour position.  Row ``r``'s bank is a
+        zero-copy ``sliding_window_view`` over one ``(R, width)`` array
+        whose row ``r`` holds its position's phases, zero-padded to the
+        longest position plus ``max - min`` fitting length; the bank's
+        windows have the longest fitting length, and ``lengths`` reads
+        every fitting length off that one DP.  Each row is cut to its
+        own position's offsets, for the lengths that fit that position.
+        A Sakoe-Chiba band rescales with the length, so a banded config
+        makes one call per length over the same rows instead.  The
+        selection then runs per query: the first lowest distance over
         positions, lengths and offsets (in that order) wins, a query
         with a continuity prior keeps the best feasible candidate, and
         the unconstrained winner replaces that one when its distance is
@@ -127,35 +133,40 @@ class SeriesMatcher:
         # Long windows are decimated (query and candidates alike) so DTW
         # cost stays bounded; the matched time span is unchanged.
         decimation = max(1, -(-m // config.max_query_samples))
-        decimated = queries[:, ::decimation]
+        stride = config.profile_stride
+        shortest = self._lengths[0]
+        # One row per query and neighbour position some length fits, in
+        # selection order.
+        owners: list[int] = []
+        indices: list[int] = []
+        for s, position_index in enumerate(position_indices):
+            lo = max(0, position_index - config.neighbor_positions)
+            hi = min(len(self._profile), position_index + config.neighbor_positions + 1)
+            for index in range(lo, hi):
+                if len(self._profile[index].phases) >= shortest:
+                    owners.append(s)
+                    indices.append(index)
         best_global: list[MatchResult | None] = [None] * n_stack
         best_feasible: list[MatchResult | None] = [None] * n_stack
-        lo = max(0, position_index - config.neighbor_positions)
-        hi = min(len(self._profile), position_index + config.neighbor_positions + 1)
-        stride = config.profile_stride
-        for index in range(lo, hi):
-            position = self._profile[index]
-            n_samples = len(position.phases)
-            lengths = [
-                int(length)
-                for length in config.candidate_lengths()
-                if length <= n_samples
-            ]
-            if not lengths:
-                continue
-            longest = max(lengths)
+        if indices:
+            phases = [self._profile[index].phases for index in indices]
+            widest = max(map(len, phases))
+            lengths = [length for length in self._lengths if length <= widest]
+            longest = lengths[-1]
+            # Each length's windows are the first columns of the longest
+            # length's windows at the same offsets, so one DP serves them
+            # all.  The zeros let the shortest length's last offsets exist
+            # and give every row one width; they feed only cells past a
+            # position's end, which no kept (offset, length) reads.
+            rows = np.zeros((len(phases), widest + longest - shortest))
+            for row, series in zip(rows, phases):
+                row[: len(series)] = series
+            decimated = queries[owners, ::decimation]
+            tables: Iterable[np.ndarray]
             if config.dtw_band is None:
-                # Each length's windows are the first columns of the
-                # longest length's windows at the same offsets, so one DP
-                # serves them all.  The zeros let the shortest length's
-                # last offsets exist; they feed only cells past the
-                # profile's end, which no kept (offset, length) reads.
-                padded = np.concatenate(
-                    [position.phases, np.zeros(longest - min(lengths))]
-                )
-                tables: Iterable[np.ndarray] = stacked_dtw_distance(
+                tables = stacked_dtw_distance(
                     decimated,
-                    sliding_windows(padded, longest, stride)[:, ::decimation],
+                    sliding_window_view(rows, longest, axis=1)[:, ::stride, ::decimation],
                     metric="circular",
                     lengths=[len(range(0, length, decimation)) for length in lengths],
                 )
@@ -164,17 +175,23 @@ class SeriesMatcher:
                 tables = [
                     stacked_dtw_distance(
                         decimated,
-                        sliding_windows(position.phases, length, stride)[:, ::decimation],
+                        sliding_window_view(rows[:, :widest], length, axis=1)[
+                            :, ::stride, ::decimation
+                        ],
                         band=config.dtw_band,
                         metric="circular",
                     )
                     for length in lengths
                 ]
-            for length, table in zip(lengths, tables):
-                distances = table[:, : (n_samples - length) // stride + 1]
-                ends = np.arange(distances.shape[1]) * stride + length - 1
-                orientations = position.orientations[ends]
-                for s, row in enumerate(distances):
+            for r, (s, index) in enumerate(zip(owners, indices)):
+                position = self._profile[index]
+                n_samples = len(position.phases)
+                for length, table in zip(lengths, tables):
+                    if length > n_samples:
+                        break
+                    row = table[r, : (n_samples - length) // stride + 1]
+                    ends = np.arange(len(row)) * stride + length - 1
+                    orientations = position.orientations[ends]
                     # The unconstrained and the continuity-feasible
                     # winners share one selection rule.
                     selections = [(best_global, row)]
@@ -247,7 +264,7 @@ class SeriesMatcher:
         wrapped = self._wrapped_query(query)
         self._check_position(position_index)
         return self._match_group(
-            wrapped[None, :], position_index, [center_orientation], [tolerance_rad]
+            wrapped[None, :], [position_index], [center_orientation], [tolerance_rad]
         )[0]
 
     def match_many(
@@ -259,18 +276,20 @@ class SeriesMatcher:
     ) -> list[MatchResult]:
         """Batched :meth:`match` over many sessions' windows (Alg. 1 × S).
 
-        Queries are grouped by ``(length, position_index)`` and each
-        group is matched in one pass, one stacked DTW call per neighbour
-        position (per position and candidate length under a band) —
-        the fleet-batching win.  The
-        selection stays per query, so entry ``i`` is bit-identical to
-        ``match(queries[i], position_indices[i], centers[i],
-        tolerances[i])``.
+        Queries are grouped by length (the decimation follows from it)
+        and each group is matched in one pass: one stacked DTW call over
+        every (query, neighbour position) row, whatever the queries'
+        positions (one call per candidate length under a band) — the
+        fleet-batching win.  The selection stays per query, so entry
+        ``i`` is bit-identical to ``match(queries[i],
+        position_indices[i], centers[i], tolerances[i])``.
 
-        Validation errors raise exactly as :meth:`match` would.  Within
-        a group an exception is systematic (all members share the
-        profile, config and query shape), so callers may attribute a
-        raised error to every query of the batch.
+        Validation errors raise exactly as :meth:`match` would, and a
+        query whose position and neighbours are all shorter than every
+        candidate length raises for the whole batch.  Every other error
+        is systematic (all queries share the profile and config), so
+        callers may attribute a raised error to every query of the
+        batch.
 
         :domain queries: rad
         :domain centers: rad
@@ -289,15 +308,14 @@ class SeriesMatcher:
         wrapped = [self._wrapped_query(query) for query in queries]
         for position_index in position_indices:
             self._check_position(position_index)
-        groups: dict[tuple[int, int], list[int]] = {}
-        for i in range(n):
-            key = (len(wrapped[i]), int(position_indices[i]))
-            groups.setdefault(key, []).append(i)
+        groups: dict[int, list[int]] = {}
+        for i, query in enumerate(wrapped):
+            groups.setdefault(len(query), []).append(i)
         results: dict[int, MatchResult] = {}
-        for (_, position_index), members in groups.items():
+        for members in groups.values():
             matched = self._match_group(
                 np.stack([wrapped[i] for i in members]),
-                position_index,
+                [int(position_indices[i]) for i in members],
                 [centers[i] for i in members],
                 [tolerances[i] for i in members],
             )

@@ -600,8 +600,8 @@ class MatchStage(Stage):
 
         Contexts with no usable window hold exactly as in :meth:`run`;
         the rest go through :meth:`SeriesMatcher.match_many`, which
-        stacks same-shape queries into one anti-diagonal DP per
-        candidate length.  Bit-identical to looping :meth:`run` (pinned
+        stacks same-length queries, whatever their positions, into one
+        anti-diagonal DP.  Bit-identical to looping :meth:`run` (pinned
         by ``tests/core/test_engine_batching.py``).
         """
         decisions: list[StageDecision | None] = [None] * len(contexts)

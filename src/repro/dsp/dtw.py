@@ -21,10 +21,10 @@ candidate segment of the CSI profile, for a range of candidate lengths
 ``stacked_dtw_distance``
     The multi-query form: ``S`` queries, each against its own candidate
     bank (or one bank shared by all queries), evaluated as a single
-    ``(S, B)`` anti-diagonal DP.  This is the fleet-batching kernel: when
-    ``S`` serving sessions run the same match stage on same-shape windows,
-    one stacked call replaces ``S`` python-level DP loops.  Bit-identical
-    to looping :func:`batched_dtw_distance` over the sessions (the DP is
+    ``(S, B)`` anti-diagonal DP.  This is the fleet-batching kernel: the
+    matcher stacks one row per query and profile position, so one call
+    serves a whole batch of sessions at mixed positions.  Bit-identical
+    to looping :func:`batched_dtw_distance` over the rows (the DP is
     elementwise over the stacked axes).  With ``lengths`` it also reads
     every candidate length off that one DP: the distance of a window's
     first ``n`` samples is row ``m`` of the sweep at diagonal ``m + n``,
@@ -35,12 +35,17 @@ Both batch kernels share one implementation.  A call builds one cost
 table, ``cost(query[i], x[p])`` for every query sample and every profile
 sample ``p`` its candidate bank covers, instead of a cost per candidate
 cell: the matcher's overlapping sliding windows read the same profile
-samples many times over.  The DP reads every cell from that table through
-zero-copy strided views and keeps only the two live anti-diagonals.
-Memory is the ``(m, span, S)`` table (``span`` is at most ``B*L``
-samples, ~1,400 for a matcher bank) plus three ``(m+1, B, S)`` diagonals
-and the ``(K, S, B)`` result; nothing scales with ``B*L`` times ``m``
-except a bank that has to be copied (see :func:`_bank_series`).
+samples many times over.  The table is polyphase in the bank's window
+step and skewed by query row (see :func:`_cost_table`), so each
+anti-diagonal's costs are one slice whose innermost axis is the ``B``
+candidates, contiguous; the DP keeps only the two live anti-diagonals
+with the same candidate axis innermost, so numpy's inner loops run over
+``B`` whatever the stack size.  Memory is the ``(m, s, S, U)`` table
+(``s*U`` is the ``span`` of profile samples the bank covers plus
+``(m-1)*d`` padding, ``span`` at most ``B*L``, ~1,400 for a matcher
+bank) plus three ``(m+1, S, B)`` diagonals and the ``(K, S, B)``
+result; nothing scales with ``B*L`` times ``m`` except a bank that has
+to be copied (see :func:`_bank_series`).
 
 Distances are normalised by ``len(a) + len(b)`` so that candidates of
 different lengths compete fairly in the length search.
@@ -68,6 +73,14 @@ def _as_1d(x: np.ndarray, name: str) -> np.ndarray:
     if x.ndim != 1 or len(x) == 0:
         raise ValueError(f"{name} must be a non-empty 1-D array, got shape {x.shape}")
     return x
+
+
+def _check_options(band: int | None, metric: str) -> None:
+    """Reject an unknown ``metric`` and a negative ``band``."""
+    if metric not in _METRICS:
+        raise ValueError(f"metric must be one of {_METRICS}, got {metric!r}")
+    if band is not None and band < 0:
+        raise ValueError(f"band must be non-negative, got {band}")
 
 
 def _pointwise_cost(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
@@ -169,22 +182,24 @@ def _within_pi(values: np.ndarray) -> bool:
 
 
 def _bank_series(banks: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """The series ``x``, window step ``s`` and decimation ``d`` of a bank.
+    """The series ``x``, window step ``s >= 1`` and decimation ``d`` of a bank.
 
     ``banks`` has shape ``(S', B, L)``; the result satisfies
     ``banks[q, b, l] == x[q, b*s + l*d]`` with ``x`` a zero-copy
     ``(S', span)`` view, ``span = (B-1)*s + (L-1)*d + 1``.  The matcher's
-    banks, ``sliding_windows(phases, L, stride)[:, ::decimation]``, read
-    ``s = stride`` and ``d = decimation`` off their own strides.  Any
-    other bank (negative or part-sample strides, or gaps that make the
+    banks, ``sliding_window_view(rows, L, axis=1)[:, ::stride,
+    ::decimation]``, read ``s = stride`` and ``d = decimation`` off their
+    own strides.  A one-candidate bank steps by 1.  Any other bank
+    (negative, zero or part-sample window steps, or gaps that make the
     span longer than ``B*L``) is copied contiguous first.
     """
     n_batch, length = banks.shape[1:]
     item = banks.itemsize
     # A size-1 axis never steps, whatever stride numpy gave it.
-    strides = [st if n > 1 else 0 for n, st in zip(banks.shape[1:], banks.strides[1:])]
-    if min(strides) >= 0 and not any(st % item for st in strides):
-        step, decimation = (st // item for st in strides)
+    step = banks.strides[1] if n_batch > 1 else item
+    decimation = banks.strides[2] if length > 1 else 0
+    if step > 0 and decimation >= 0 and not (step % item or decimation % item):
+        step, decimation = step // item, decimation // item
         span = (n_batch - 1) * step + (length - 1) * decimation + 1
         if span <= n_batch * length:
             series = np.lib.stride_tricks.as_strided(
@@ -197,10 +212,23 @@ def _bank_series(banks: np.ndarray) -> tuple[np.ndarray, int, int]:
     return _bank_series(np.ascontiguousarray(banks))
 
 
-def _cost_table(queries: np.ndarray, series: np.ndarray, metric: str) -> np.ndarray:
-    """``cost(queries[q, i], series[q', p])`` as an ``(m, span, S)`` table.
+def _cost_table(
+    queries: np.ndarray, series: np.ndarray, step: int, decimation: int, metric: str
+) -> np.ndarray:
+    """``cost(queries[q, r], x[q', u*s + v - r*d])`` as an ``(m, s, S, U)``
+    table.
 
-    ``series`` is ``(S', span)`` with ``S'`` either ``S`` or 1 (shared).
+    ``series`` is ``x``, ``(S', span)`` with ``S'`` either ``S`` or 1
+    (shared); ``s`` and ``d`` are its bank's window step and decimation.
+    The table is polyphase in the profile sample (``p = u*s + v``) and
+    skewed by row (``- r*d``), so cell ``(r, c)`` of candidate ``b``,
+    ``x[b*s + c*d]``, lies at ``u = b + u0``, ``v`` with ``(u0, v) =
+    divmod((r + c)*d, s)``: one anti-diagonal's costs for every
+    candidate are a contiguous run along ``u``.  ``x`` is front-padded
+    with ``(m-1)*d`` zeros (and back-padded to fill ``U*s`` samples), so
+    the whole table is one ``np.subtract`` from one strided view; the
+    padded entries feed no DP cell.
+
     The circular wrap ``mod(y, 2 pi)`` of ``y = a - b + pi`` is one masked
     subtract and one masked add of ``2 pi`` when every operand lies in
     ``[-pi, pi]``: then ``y`` is in ``[-pi, 3 pi]``, ``y - 2 pi`` is exact
@@ -208,14 +236,26 @@ def _cost_table(queries: np.ndarray, series: np.ndarray, metric: str) -> np.ndar
     ``np.mod`` itself does below 0, so the table is bit-identical to
     :func:`_pointwise_cost`.  Other operands (and NaN) take ``np.mod``.
     """
-    if metric not in _METRICS:
-        raise ValueError(f"metric must be one of {_METRICS}, got {metric!r}")
     n_stack, m = queries.shape
-    table = np.empty((m, series.shape[1], n_stack), dtype=np.float64)
-    np.subtract(queries.T[:, None, :], series.T[None, :, :], out=table)
+    n_series, span = series.shape
+    front = (m - 1) * decimation
+    n_units = -(-(span + front) // step)
+    padded = np.zeros((n_series, front + n_units * step), dtype=np.float64)
+    padded[:, front : front + span] = series
+    item = padded.itemsize
+    # view[r, v, q', u] = padded[q', front - r*d + u*s + v]; the lowest
+    # address is padded[q', 0] and the highest the last sample.
+    view = np.lib.stride_tricks.as_strided(
+        padded[:, front:],
+        shape=(m, step, n_series, n_units),
+        strides=(-decimation * item, item, padded.strides[0], step * item),
+        writeable=False,
+    )
+    table = np.empty((m, step, n_stack, n_units), dtype=np.float64)
+    np.subtract(queries.T[:, None, :, None], view, out=table)
     if metric == "circular":
         table += np.pi
-        if _within_pi(queries) and _within_pi(series):
+        if _within_pi(queries) and _within_pi(padded):
             np.subtract(table, 2.0 * np.pi, out=table, where=table >= 2.0 * np.pi)
             np.add(table, 2.0 * np.pi, out=table, where=table < 0.0)
         else:
@@ -231,8 +271,6 @@ def _band_rows(m: int, length: int, band: int) -> tuple[list[int], list[int]]:
     diagonal ``r * (L/m) - c`` is non-decreasing in ``r``, so its in-band
     rows are one run; an empty run reads ``first = stop = m``.
     """
-    if band < 0:
-        raise ValueError(f"band must be non-negative, got {band}")
     i_idx = np.arange(m)[:, None]
     j_idx = np.arange(length)[None, :]
     # Rescale the diagonal for unequal lengths before applying the band.
@@ -255,13 +293,13 @@ def _profile_table_dtw(
 
     ``queries`` is ``(S, m)``; ``banks`` is ``(S', B, L)`` with ``S'`` in
     ``{1, S}``.  One cost table over the span of profile samples the bank
-    covers replaces a ``(S, B, m, L)`` tensor; cell ``(r, c)`` of
-    candidate ``b`` is ``table[r, b*s + c*d]``.  A skewed ``as_strided``
-    view puts anti-diagonal ``k = r + c`` on its first axis, so each
-    diagonal's step costs are one strided slice ``(rows, B, S)``.  The
-    DP keeps the two live diagonals ``(m+1, B, S)`` with the query axis
-    innermost, and every min/add runs in the classic operand order, so
-    the result is bit-identical to the full-table DP.  A cell never
+    covers replaces a ``(S, B, m, L)`` tensor (see :func:`_cost_table`):
+    anti-diagonal ``k = r + c`` reads its step costs as one slice
+    ``table[rows, v, :, u0 : u0 + B]`` with ``(u0, v) = divmod(k*d, s)``.
+    The DP keeps the two live diagonals ``(m+1, S, B)`` with the
+    candidate axis innermost, so every min/add runs numpy's inner loop
+    over ``B`` contiguous candidates, and in the classic operand order,
+    so the result is bit-identical to the full-table DP.  A cell never
     reads a later column, so ``dp[m, n]`` is the prefix's distance: the
     sweep reads it as it passes diagonal ``m + n`` and stops at the
     longest ``n``.
@@ -269,50 +307,44 @@ def _profile_table_dtw(
     n_stack, m = queries.shape
     n_batch, length = banks.shape[1:]
     series, step, decimation = _bank_series(banks)
-    table = _cost_table(queries, series, metric)
+    table = _cost_table(queries, series, step, decimation, metric)
     if band is not None:
         first, stop = _band_rows(m, length, band)
     reads: dict[int, list[int]] = {}
     for index, n in enumerate(lengths):
         reads.setdefault(m + n, []).append(index)
     out = np.empty((len(lengths), n_stack, n_batch), dtype=np.float64)
-    span = table.shape[1]
-    unit = n_stack * table.itemsize
-    # skew[k, r, b, q] = table[r, b*s + (k - r)*d, q].  Every stride is
-    # non-negative and the far corner is the table's last element, so
-    # the view never leaves the table.
-    skew = np.lib.stride_tricks.as_strided(
-        table,
-        shape=(m + length - 1, m, n_batch, n_stack),
-        strides=(decimation * unit, (span - decimation) * unit, step * unit,
-                 table.itemsize),
-        writeable=False,
-    )
     # Diagonal k of the (m+1, L+1) table stored by row i (j = k - i).
     # Only rows lo..hi are written, so the edge rows later diagonals read
     # (dp[0, j] and dp[i, 0]) keep their initial inf; dp[0, 0] is the one
     # exception and is reset once read.
-    prev2 = np.full((m + 1, n_batch, n_stack), _INF)  # diagonal k-2
-    prev = np.full((m + 1, n_batch, n_stack), _INF)  # diagonal k-1
-    cur = np.full((m + 1, n_batch, n_stack), _INF)  # diagonal k (reused)
+    prev2 = np.full((m + 1, n_stack, n_batch), _INF)  # diagonal k-2
+    prev = np.full((m + 1, n_stack, n_batch), _INF)  # diagonal k-1
+    cur = np.full((m + 1, n_stack, n_batch), _INF)  # diagonal k (reused)
     prev2[0] = 0.0  # dp[0, 0]
     for k in range(2, max(reads) + 1):
         lo = max(1, k - length)
         hi = min(m, k - 1)
+        # Cell (i, j) costs table[i-1, v, :, u0 + b], (i-1) + (j-1) = k-2.
+        u0, v = divmod((k - 2) * decimation, step)
         best = cur[lo : hi + 1]
         # Same operand order as the full-table DP:
         # cost + min(dp[i-1, j], min(dp[i, j-1], dp[i-1, j-1])).
         np.minimum(prev[lo : hi + 1], prev2[lo - 1 : hi], out=best)
         np.minimum(prev[lo - 1 : hi], best, out=best)
         if band is None:
-            np.add(skew[k - 2, lo - 1 : hi], best, out=best)
+            np.add(table[lo - 1 : hi, v, :, u0 : u0 + n_batch], best, out=best)
         else:
             a, b = first[k - 2], stop[k - 2]
-            np.add(skew[k - 2, a:b], cur[a + 1 : b + 1], out=cur[a + 1 : b + 1])
+            np.add(
+                table[a:b, v, :, u0 : u0 + n_batch],
+                cur[a + 1 : b + 1],
+                out=cur[a + 1 : b + 1],
+            )
             np.add(_INF, cur[lo : a + 1], out=cur[lo : a + 1])
             np.add(_INF, cur[b + 1 : hi + 1], out=cur[b + 1 : hi + 1])
         for index in reads.get(k, ()):
-            np.divide(cur[m].T, k, out=out[index])  # dp[m, k - m] / (m + n)
+            np.divide(cur[m], k, out=out[index])  # dp[m, k - m] / (m + n)
         if k == 2:
             prev2[0] = _INF  # this buffer holds diagonal 3 next
         prev2, prev, cur = prev, cur, prev2
@@ -346,6 +378,7 @@ def batched_dtw_distance(
         raise ValueError(
             f"candidates must have shape (B, L) with L > 0, got {candidates.shape}"
         )
+    _check_options(band, metric)
     if len(candidates) == 0:
         return np.zeros(0)
     return _profile_table_dtw(
@@ -380,10 +413,12 @@ def stacked_dtw_distance(
     case without the leading axis.  A Sakoe-Chiba band rescales with
     the length, so a band with any ``n < L`` raises.
 
-    Memory is an ``(m, span, S)`` cost table plus three ``(m+1, B, S)``
-    DP diagonals.  ``span`` is the profile samples a shared
-    sliding-window bank covers (~1,400 at serve shapes, whatever ``B``
-    and ``L``); a bank that has to be copied has ``span = B*L``.
+    Memory is an ``(m, s, S, U)`` cost table, ``m*S*(span + (m-1)*d)``
+    values up to the last window step, plus three ``(m+1, S, B)`` DP
+    diagonals.  ``span`` is the profile samples a sliding-window bank
+    covers (~1,400 at serve shapes, whatever ``B`` and ``L``), ``s`` its
+    window step and ``d`` its decimation; a bank that has to be copied
+    has ``span = B*L``.
 
     :shape queries: (S, m)
     :shape candidates: (B, L) | (S, B, L)
@@ -418,6 +453,7 @@ def stacked_dtw_distance(
         raise ValueError(f"lengths must be non-empty, each in [1, {length}], got {lengths}")
     if band is not None and min(prefixes) < length:
         raise ValueError(f"a band needs every length equal to L={length}, got {lengths}")
+    _check_options(band, metric)
     if n_stack == 0 or n_batch == 0:
         out = np.zeros((len(prefixes), n_stack, n_batch))
     else:

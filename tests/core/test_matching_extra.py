@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import matching
 from repro.core.config import ViHOTConfig
 from repro.core.matching import MatchResult, SeriesMatcher
 from repro.core.profile import CsiProfile, PositionProfile
@@ -192,3 +193,37 @@ def test_match_bit_identical_to_per_length_calls(config_name, make):
     for expected, single, batched in zip(want, got, many):
         assert dataclasses.astuple(single) == dataclasses.astuple(expected)
         assert dataclasses.astuple(batched) == dataclasses.astuple(expected)
+
+
+@pytest.mark.parametrize("config_name", ["serve", "neighbors", "band"])
+def test_match_many_one_kernel_call_per_query_length(config_name, monkeypatch):
+    """Queries at mixed positions share one kernel call per query length
+    (one per candidate length under a band), one row per query and
+    neighbour position."""
+    config = IDENTITY_CONFIGS[config_name]
+    profile = _three_positions()
+    stacks = []
+
+    def counting(queries, candidates, *args, **kwargs):
+        stacks.append(len(queries))
+        return stacked_dtw_distance(queries, candidates, *args, **kwargs)
+
+    monkeypatch.setattr(matching, "stacked_dtw_distance", counting)
+    matcher = SeriesMatcher(profile, config)
+    curve = make_profile()[0].phases
+    window = config.window_samples
+    sizes = (window, window, window + 5, window, window + 5)
+    queries = [curve[300 : 300 + m] for m in sizes]
+    positions = [0, 1, 2, 2, 0]
+    matcher.match_many(queries, positions)
+    reach = config.neighbor_positions
+    rows = {
+        m: sum(
+            min(len(profile), p + reach + 1) - max(0, p - reach)
+            for size, p in zip(sizes, positions)
+            if size == m
+        )
+        for m in (window, window + 5)
+    }
+    per_group = 1 if config.dtw_band is None else len(config.candidate_lengths())
+    assert stacks == [rows[window]] * per_group + [rows[window + 5]] * per_group

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -176,6 +177,12 @@ def test_batched_shape_validation():
     with pytest.raises(ValueError):
         batched_dtw_distance(np.zeros(3), np.zeros((2, 0)))
     assert len(batched_dtw_distance(np.zeros(3), np.zeros((0, 5)))) == 0
+    # A bad band or metric raises whether or not the bank is empty.
+    for bank in (np.zeros((0, 4)), np.zeros((3, 4))):
+        with pytest.raises(ValueError, match="band"):
+            batched_dtw_distance(np.zeros(5), bank, band=-1)
+        with pytest.raises(ValueError, match="metric"):
+            batched_dtw_distance(np.zeros(5), bank, metric="euclid")
 
 
 # ----------------------------------------------------------------------
@@ -215,8 +222,11 @@ def test_matcher_banks_bit_identical(
     m, length, extra, stride, decimation, band, metric, seed, data
 ):
     """``sliding_windows(phases, L, stride)[:, ::decimation]`` banks, as
-    the matcher builds them, over every stride and decimation; without a
-    band, prefix lengths read off one ``lengths=`` call as well."""
+    the matcher built them per position, and per-row banks
+    ``sliding_window_view(rows, L, axis=1)[:, ::stride, ::decimation]``,
+    as it stacks one row per query and position, over every stride and
+    decimation; without a band, prefix lengths read off one ``lengths=``
+    call as well."""
     rng = np.random.default_rng(seed)
     phases = _phases(rng, length + extra, ties=seed % 2 == 0)
     bank = sliding_windows(phases, length, stride)[:, ::decimation]
@@ -228,6 +238,13 @@ def test_matcher_banks_bit_identical(
     for s in (1, 2):
         assert np.array_equal(
             stacked[s], batched_dtw_distance(queries[s], bank, band, metric)
+        )
+    rows = _phases(rng, (3, length + extra), ties=seed % 2 == 0)
+    per_row = sliding_window_view(rows, length, axis=1)[:, ::stride, ::decimation]
+    stacked_rows = stacked_dtw_distance(queries, per_row, band, metric)
+    for s in range(3):
+        assert np.array_equal(
+            stacked_rows[s], batched_dtw_distance(queries[s], per_row[s], band, metric)
         )
     if band is None:
         columns = bank.shape[1]
@@ -241,6 +258,12 @@ def test_matcher_banks_bit_identical(
             assert np.array_equal(
                 table[0], _full_table_batched_reference(queries[0], bank[:, :n], None, metric)
             )
+        tables = stacked_dtw_distance(queries, per_row, None, metric, lengths=prefixes)
+        for n, table in zip(prefixes, tables):
+            for s in range(3):
+                assert np.array_equal(
+                    table[s], batched_dtw_distance(queries[s], per_row[s, :, :n], None, metric)
+                )
 
 
 _PI_ULP_INSIDE = np.nextafter(np.pi, 0.0)
@@ -358,6 +381,17 @@ def test_stacked_shape_validation():
         stacked_dtw_distance(np.zeros((2, 5)), np.zeros((2, 3, 4)), band=-1)
     assert stacked_dtw_distance(np.zeros((0, 5)), np.zeros((3, 4))).shape == (0, 3)
     assert stacked_dtw_distance(np.zeros((2, 5)), np.zeros((0, 4))).shape == (2, 0)
+    # A bad band or metric raises whether or not the stack and bank are
+    # empty.
+    for queries, candidates in (
+        (np.zeros((0, 5)), np.zeros((3, 4))),
+        (np.zeros((2, 5)), np.zeros((0, 4))),
+        (np.zeros((1, 5)), np.zeros((3, 4))),
+    ):
+        with pytest.raises(ValueError, match="band"):
+            stacked_dtw_distance(queries, candidates, band=-1)
+        with pytest.raises(ValueError, match="metric"):
+            stacked_dtw_distance(queries, candidates, metric="euclid")
     # Prefix lengths: each in [1, L], and a band only at n = L.
     bank = np.zeros((3, 4))
     for bad in ([0], [2, 0], [5], [1, 5], []):
