@@ -41,29 +41,6 @@ from repro.core.stages import CameraLike, Estimate
 from repro.dsp.series import TimeSeries
 from repro.net.link import CsiStream
 
-#: numpy computes ``a * np.conj(b)`` in place in the conjugate's
-#: temporary once that temporary reaches 256 KiB (temporary elision),
-#: which swaps the operands, and with fused multiply-adds ``a * b`` and
-#: ``b * a`` can differ in the last bit.
-_ELIDE_BYTES = 256 * 1024
-
-
-def _block_phase(csi: np.ndarray) -> list[float]:
-    """Wrapped antenna phase difference of each packet of a ``(T, n_rx,
-    F)`` block, bit-identical to one call per packet.
-
-    A block under 256 KiB (273 packets of ``2 x 30`` complex CSI) is one
-    :func:`antenna_phase_difference` call; a larger one is cut into row
-    chunks whose product temporary stays under the elision size.
-    """
-    if csi.nbytes < _ELIDE_BYTES:
-        return antenna_phase_difference(csi).tolist()
-    rows = max(1, (_ELIDE_BYTES - 1) // (csi.nbytes // len(csi)))
-    wrapped: list[float] = []
-    for start in range(0, len(csi), rows):
-        wrapped += antenna_phase_difference(csi[start : start + rows]).tolist()
-    return wrapped
-
 
 class SampleRing:
     """A preallocated, time-ordered ring of ``(time, value)`` samples.
@@ -283,7 +260,7 @@ class OnlineTracker:
             )
         if not all(map(math.isfinite, stamps)):
             raise ValueError(f"packet timestamps must be finite, got {stamps}")
-        wrapped = _block_phase(csi)
+        wrapped = antenna_phase_difference(csi).tolist()
         bound = self._phase.last_time if len(self._phase) else -math.inf
         last_wrapped = self._last_wrapped
         offset = self._unwrap_offset

@@ -49,8 +49,12 @@ def antenna_phase_difference(
             f"need two distinct RX indices below {n_rx}, got {rx_a}, {rx_b}"
         )
     # angle(H_a * conj(H_b)) is the wrapped difference phi_a - phi_b,
-    # computed without ever forming the individually-wrapped phases.
-    cross = csi[:, rx_a, :] * np.conj(csi[:, rx_b, :])
+    # computed without ever forming the individually-wrapped phases.  The
+    # ufunc call keeps the operand order whatever the block size: ``a *
+    # np.conj(b)`` lets numpy reuse a large conjugate temporary in place,
+    # which swaps the operands, and under fused multiply-adds ``a * b``
+    # and ``b * a`` can differ in the last bit.
+    cross = np.multiply(csi[:, rx_a, :], np.conj(csi[:, rx_b, :]))
     per_subcarrier = np.angle(cross)
     return np.asarray(circular_mean(per_subcarrier, axis=1))
 

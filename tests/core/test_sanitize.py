@@ -100,6 +100,18 @@ def test_shape_validation():
         antenna_phase_difference(np.zeros((3, 30), dtype=complex))
 
 
+def test_long_capture_phases_equal_per_packet_bits():
+    """A capture's phase of a packet does not depend on how many packets
+    share the call: 1,100 packets (a product far past numpy's in-place
+    temporary size) equal one call per packet, bit for bit."""
+    rng = np.random.default_rng(23)
+    shape = (1100, 2, Spectrum().num_subcarriers)
+    csi = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    per_packet = np.array([antenna_phase_difference(packet[None])[0] for packet in csi])
+    series = sanitize_stream(np.linspace(0.0, 5.5, len(csi)), csi, unwrap=False)
+    np.testing.assert_array_equal(np.asarray(series.values), per_packet)
+
+
 # ----------------------------------------------------------------------
 # Batched sanitiser: bit-identity to the scalar kernel
 # ----------------------------------------------------------------------
