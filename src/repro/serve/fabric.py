@@ -489,10 +489,16 @@ class ServingFabric:
     # ------------------------------------------------------------------
     def ingest(self, session_id: str, time: float, csi: np.ndarray) -> bool:
         """Write one packet into the owning shard's ring; ``False`` iff
-        ring backpressure shed an old packet."""
-        accepted = self._shards[self._router.route(session_id)].ring.push(
-            session_id, time, csi
-        )
+        ring backpressure shed an old packet.
+
+        An open session's shard is its placement, which is what
+        :meth:`ShardRouter.route` named at open or at its re-homing by
+        :meth:`kill_worker`; only an id with no placement is routed.
+        """
+        shard_index = self._placement.get(session_id)
+        if shard_index is None:
+            shard_index = self._router.route(session_id)
+        accepted = self._shards[shard_index].ring.push(session_id, time, csi)
         if not accepted:
             self._c_dropped.inc()
         return accepted

@@ -125,6 +125,29 @@ def test_sessions_pin_to_their_hashed_shard() -> None:
             fabric.open_session("cabin-0000")  # double open
 
 
+def test_ingest_lands_in_the_routed_shard_ring() -> None:
+    """Open sessions, sessions re-homed by ``kill_worker`` and an unknown
+    id each push into the ring of the shard ``route`` names."""
+    cabins = _cabins(12, duration_s=0.1)
+    with ServingFabric(
+        CONFIG, workers=4, processes=False, **MANAGER_KWARGS
+    ) as fabric:
+        for cabin in cabins:
+            fabric.open_session(
+                cabin.cabin_id,
+                fingerprint=SYNTHETIC_FINGERPRINT,
+                build_profile=lambda: PROFILE,
+            )
+        orphans = fabric.kill_worker(fabric.shard_of(cabins[0].cabin_id))
+        assert orphans
+        csi = cabins[0].csi_at(0)
+        for sid in [cabin.cabin_id for cabin in cabins] + ["cabin-unknown"]:
+            depths = {i: len(fabric._shards[i].ring) for i in fabric.workers}
+            depths[fabric.router.route(sid)] += 1
+            assert fabric.ingest(sid, 1.0, csi)
+            assert depths == {i: len(fabric._shards[i].ring) for i in fabric.workers}
+
+
 def test_profile_cache_is_fleet_wide() -> None:
     # One fingerprint, many sessions across many shards: the profile is
     # built exactly once, parent-side.
