@@ -50,11 +50,13 @@ def antenna_phase_difference(
         )
     # angle(H_a * conj(H_b)) is the wrapped difference phi_a - phi_b,
     # computed without ever forming the individually-wrapped phases.  The
-    # ufunc call keeps the operand order whatever the block size: ``a *
-    # np.conj(b)`` lets numpy reuse a large conjugate temporary in place,
-    # which swaps the operands, and under fused multiply-adds ``a * b``
-    # and ``b * a`` can differ in the last bit.
-    cross = np.multiply(csi[:, rx_a, :], np.conj(csi[:, rx_b, :]))
+    # product goes into the conjugate's buffer in the order (a, b) at any
+    # block size: ``a * np.conj(b)`` lets numpy reuse a large conjugate
+    # temporary with the operands swapped, and under fused multiply-adds
+    # ``a * b`` and ``b * a`` can differ in the last bit; a fresh output
+    # array would cost a capture-sized allocation.
+    cross = np.conj(csi[:, rx_b, :])
+    np.multiply(csi[:, rx_a, :], cross, out=cross)
     per_subcarrier = np.angle(cross)
     return np.asarray(circular_mean(per_subcarrier, axis=1))
 
