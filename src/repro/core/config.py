@@ -127,5 +127,8 @@ class ViHOTConfig:
         lo, hi = self.length_range
         w = self.window_samples
         raw = np.linspace(lo * w, hi * w, self.num_length_candidates)
-        lengths = np.unique(np.maximum(2, np.round(raw).astype(int)))
-        return lengths
+        rounded = np.maximum(2, np.round(raw).astype(int))
+        # Not np.unique: its first call in a process imports numpy.ma
+        # (~10-20 ms), which every forked serving worker would pay when
+        # its first session's matcher reads the lengths.
+        return np.array(sorted(set(rounded.tolist())), dtype=int)
