@@ -110,11 +110,10 @@ def dtw_distance(
     """
     a = _as_1d(a, "a")
     b = _as_1d(b, "b")
+    _check_options(band, metric)
     m, n = len(a), len(b)
     cost = _pointwise_cost(a[:, None], b[None, :], metric)
     if band is not None:
-        if band < 0:
-            raise ValueError(f"band must be non-negative, got {band}")
         i_idx = np.arange(m)[:, None]
         j_idx = np.arange(n)[None, :]
         # Rescale the diagonal for unequal lengths before applying the band.

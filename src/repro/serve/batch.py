@@ -77,17 +77,20 @@ class BatchPlanner:
     similarity.
 
     ``max_batch`` caps the stack width: the stacked DTW's cost table and
-    DP diagonals grow linearly with it, and stacking gains less as each
-    diagonal's work grows — ``bench_kernels.py`` measures ~1.8-1.9x over
-    the per-session loop for a small stack (16 x 40 candidates of 25)
-    and ~0.9-1.0x at the wide serving shape (8 x 150 of 40).  Oversized groups
-    are split into consecutive chunks (rotation order preserved), so
-    correctness never depends on the cap.
+    DP diagonals grow linearly with it, and the per-session saving
+    levels off as each diagonal's work grows — at the matcher's serve
+    shape ``bench_kernels.py`` serves a session in ~0.76 ms alone and in
+    ~0.56, ~0.50 and ~0.50 ms per session in stacks of 2, 4 and 8 (p50;
+    ~0.55 ms for 8 over 4 positions).  Oversized groups are split into
+    consecutive chunks (rotation order preserved), so correctness never
+    depends on the cap.
 
     In the shape vocabulary of ``repro.units.AXIS_SYMBOLS``: a batched
-    group of ``S`` sessions feeds the match stage an ``(S, m)`` query
-    block against the shared ``(B, L)`` candidate bank, so ``max_batch``
-    bounds the ``S`` axis of every stacked kernel call.
+    group of ``S`` sessions feeds the match stage one query block per
+    query length, a row per session and neighbour position, each row
+    against its own ``(B, L)`` candidate bank, so the ``S`` axis of a
+    stacked kernel call is at most ``max_batch * (2 *
+    neighbor_positions + 1)`` rows.
     """
 
     max_batch: int = 8
