@@ -62,10 +62,10 @@ STACKED_WIDE = (8, 150, 40)
 #: candidate length, through the one ``stacked_dtw_distance(...,
 #: lengths=...)`` call ``SeriesMatcher`` makes on zero-padded banks of
 #: the longest length (and, for the ratio, through the per-length banks
-#: it replaced).  One position is one ``(B, L)`` bank shared by the
-#: stack; more positions give session ``s`` position ``s % positions``
-#: and a per-row ``(S, B, L)`` bank, the matcher's call over mixed
-#: positions.  ``serve`` is the fleet config (m=20, lengths 10/25/40,
+#: it replaced).  As in the matcher, every row has its own bank: session
+#: ``s`` reads position ``s % positions`` through a per-row ``(S, B, L)``
+#: view of one zero-padded ``(S, width)`` array, at one position as over
+#: several.  ``serve`` is the fleet config (m=20, lengths 10/25/40,
 #: stride 8) on 1,400 samples per position: one, two, four and eight
 #: sessions at one position, and eight over four positions; ``figure``
 #: is the default config (five lengths, stride 4) on 2,400 samples at
@@ -98,10 +98,11 @@ def _stacked_inputs(shape=STACKED_SMALL):
     return queries, candidates
 
 
-def _match_inputs(config, samples, stack, positions=1):
-    """Decimated queries, the matcher's padded bank with each length's
-    decimated column count, and the per-length banks that bank replaced,
-    for ``positions`` profile positions of ``samples`` samples each."""
+def _match_inputs(config, samples, stack, positions):
+    """Decimated queries, the matcher's padded per-row bank with each
+    length's decimated column count, and the per-length banks that bank
+    replaced, for ``positions`` profile positions of ``samples`` samples
+    each, session ``s`` at position ``s % positions``."""
     rng = np.random.default_rng(3)
     phases = rng.uniform(-np.pi, np.pi, (positions, samples))
     window = config.window_samples
@@ -112,15 +113,12 @@ def _match_inputs(config, samples, stack, positions=1):
     padded = np.concatenate(
         [phases, np.zeros((positions, max(lengths) - min(lengths)))], axis=1
     )
-    if positions == 1:
-        padded, phases = padded[0], phases[0]
-    else:
-        owners = np.arange(stack) % positions
-        padded, phases = padded[owners], phases[owners]
-    bank = sliding_window_view(padded, max(lengths), axis=-1)[..., ::stride, ::decimation]
+    owners = np.arange(stack) % positions
+    padded, phases = padded[owners], phases[owners]
+    bank = sliding_window_view(padded, max(lengths), axis=1)[:, ::stride, ::decimation]
     prefixes = [len(range(0, length, decimation)) for length in lengths]
     banks = [
-        sliding_window_view(phases, length, axis=-1)[..., ::stride, ::decimation]
+        sliding_window_view(phases, length, axis=1)[:, ::stride, ::decimation]
         for length in lengths
     ]
     return queries, bank, prefixes, banks
@@ -172,7 +170,7 @@ if pytest is not None:
         )
         queries, bank, prefixes, banks = _match_inputs(config, samples, stack, positions)
         result = benchmark(_match, queries, bank, prefixes)
-        assert result.shape == (len(prefixes), stack, bank.shape[-2])
+        assert result.shape == (len(prefixes), stack, bank.shape[1])
         for table, want in zip(result, _match_per_length(queries, banks)):
             assert np.array_equal(table[:, : want.shape[1]], want)
 
@@ -277,7 +275,7 @@ def collect(reps: int = 30) -> dict:
             "positions": positions,
             "query_samples": int(queries.shape[1]),
             "lengths": [int(n) for n in config.candidate_lengths()],
-            "candidates": int(sum(b.shape[-2] for b in banks)),
+            "candidates": int(sum(b.shape[1] for b in banks)),
             "profile_samples": samples,
             "per_session_p50_s": stats["p50_s"] / stack,
             "per_length_mean_s": loop["mean_s"],

@@ -79,11 +79,12 @@ class BatchPlanner:
     ``max_batch`` caps the stack width: the stacked DTW's cost table and
     DP diagonals grow linearly with it, and the per-session saving
     levels off as each diagonal's work grows — at the matcher's serve
-    shape ``bench_kernels.py`` serves a session in ~0.76 ms alone and in
-    ~0.56, ~0.50 and ~0.50 ms per session in stacks of 2, 4 and 8 (p50;
-    ~0.55 ms for 8 over 4 positions).  Oversized groups are split into
-    consecutive chunks (rotation order preserved), so correctness never
-    depends on the cap.
+    shape, with a bank per row as the matcher builds them,
+    ``bench_kernels.py`` serves a session in ~0.69 ms alone and in
+    ~0.55, ~0.50 and ~0.50 ms per session in stacks of 2, 4 and 8 (p50
+    on a 2-vCPU Xeon VM; ~0.53 ms for 8 over 4 positions).  Oversized
+    groups are split into consecutive chunks (rotation order preserved),
+    so correctness never depends on the cap.
 
     In the shape vocabulary of ``repro.units.AXIS_SYMBOLS``: a batched
     group of ``S`` sessions feeds the match stage one query block per
